@@ -19,7 +19,7 @@ import numpy as np
 
 from . import poisson, smoothfn as sf, starprod
 from .formal import FormalSeries
-from .poisson import VerticalMultivector
+from .poisson import VerticalMultivector, standard_symplectic
 from .starprod import StarProduct
 from .states import CoherentState, causal_class, lightcone_profile, lorentz_square
 
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ThetaSpec:
-    kind: str = "constant"  # constant | lie_linear | commuting_compact | ball_compact
+    kind: str = "constant"  # constant | commuting_compact | ball_compact
     Theta: np.ndarray = None
     r: float = 1.0
     eps: float = 0.25
@@ -60,14 +60,6 @@ class ExperimentConfig:
     seed: int = 0
     out_path: str = None
     out_format: str = "json"
-
-
-def standard_symplectic(n: int) -> np.ndarray:
-    Theta = np.zeros((n, n))
-    for k in range(n // 2):
-        Theta[2 * k, 2 * k + 1] = 1.0
-        Theta[2 * k + 1, 2 * k] = -1.0
-    return Theta
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -97,7 +89,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if cfg.metric_inv.shape != (cfg.n, cfg.n):
             raise ConfigError("metric_inv must be an n x n matrix")
     ts = raw.get("theta_spec", {})
-    kinds = ("constant", "lie_linear", "commuting_compact", "ball_compact")
+    kinds = ("constant", "commuting_compact", "ball_compact")
     cfg.theta.kind = ts.get("kind", cfg.theta.kind)
     if cfg.theta.kind not in kinds:
         raise ConfigError(f"theta_spec.kind must be one of {kinds}")
@@ -135,9 +127,6 @@ def build_theta(cfg: ExperimentConfig) -> VerticalMultivector:
     Theta = cfg.theta.Theta if cfg.theta.Theta is not None else standard_symplectic(cfg.n)
     if cfg.theta.kind == "constant":
         return poisson.constant_theta(cfg.n, Theta)
-    if cfg.theta.kind == "lie_linear":
-        raise ConfigError("lie_linear theta requires structure constants; "
-                          "not exposed through the JSON schema yet")
     if cfg.theta.kind == "commuting_compact":
         return poisson.build_commuting_compact_theta(cfg.n, Theta, cfg.theta.r, cfg.theta.eps)
     return poisson.build_ball_compact_theta(cfg.n, Theta, cfg.theta.r, cfg.theta.eps)
@@ -157,8 +146,7 @@ def build_star(cfg: ExperimentConfig, picture: str = "tm") -> StarProduct:
     theta = build_theta(cfg)
     if picture == "fiber":
         theta = poisson.restrict_to_fiber(theta, np.zeros(cfg.n))
-    return starprod.general_vertical(theta, min(cfg.N_lambda, 2),
-                                     rng=np.random.default_rng(cfg.seed))
+    return starprod.general_vertical(theta, min(cfg.N_lambda, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +350,7 @@ def cmd_pairs_demo(cfg: ExperimentConfig, args) -> int:
     if cfg.theta.kind == "constant":
         cfg.theta.kind = "ball_compact"
     theta = build_theta(cfg)
-    sp = starprod.general_vertical(theta, min(cfg.N_lambda, 2),
-                                   rng=np.random.default_rng(cfg.seed))
+    sp = starprod.general_vertical(theta, min(cfg.N_lambda, 2))
     n = cfg.n
     # observables: the first coordinate of each of the two points
     f = sf.coordinate(0, 2 * n)

@@ -39,8 +39,6 @@ class FormalSeries:
         return FormalSeries(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        if not isinstance(other, FormalSeries):
-            return self + (-other)
         return self + (-other)
 
     def __mul__(self, other):

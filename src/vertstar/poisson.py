@@ -57,13 +57,12 @@ class VerticalMultivector:
         sign = _perm_sign(key)
         return f if sign == 1 else f * (-1.0)
 
-    def matrix_at(self, x, order: int = 0):
-        """Dense antisymmetric component array evaluated at a point (degree 2);
-        with order > 0, entries are jets."""
+    def matrix_at(self, x):
+        """Dense antisymmetric component array evaluated at a point (degree 2)."""
         n = self.base_dim
-        out = np.zeros((n, n), dtype=object if order > 0 else complex)
+        out = np.zeros((n, n), dtype=complex)
         for (i, j), f in self.components.items():
-            v = eval_jet(f, x, order) if order > 0 else evaluate(f, x)
+            v = evaluate(f, x)
             out[i, j] = v
             out[j, i] = -v
         return out
@@ -236,6 +235,15 @@ def _check_antisymmetric(Theta):
         raise ValueError("Theta must be a square matrix")
     if not np.allclose(Theta, -Theta.T, atol=1e-14):
         raise ValueError("Theta must be antisymmetric")
+    return Theta
+
+
+def standard_symplectic(n: int) -> np.ndarray:
+    """Constant Theta with Theta^{2k, 2k+1} = 1 = -Theta^{2k+1, 2k}."""
+    Theta = np.zeros((n, n))
+    for k in range(n // 2):
+        Theta[2 * k, 2 * k + 1] = 1.0
+        Theta[2 * k + 1, 2 * k] = -1.0
     return Theta
 
 

@@ -5,8 +5,8 @@ Three modes:
   * moyal_fiberwise  - Weyl-Moyal with a base-point-dependent constant-in-v
                        bivector,
   * general_vertical - order-<=2 product for a general vertical Poisson
-                       bivector, with the second-order operator solved from
-                       the associativity identity.
+                       bivector, with Kontsevich's closed-form second-order
+                       operator.
 
 All products differentiate only fiber directions and are computed on jets, so
 the same code path yields point values and derivative information for states.
@@ -149,6 +149,10 @@ def _moyal_star_jets(Theta, F, G, axes, dim, base, out_orders):
 # general vertical mode (order <= 2)
 # ---------------------------------------------------------------------------
 
+# weights of T_a and T_b in the second-order operator C_2; derived in
+# general_vertical
+C2_WEIGHTS = (-1.0 / 8.0, -1.0 / 12.0)
+
 
 def _theta_matrix_jets(theta: VerticalMultivector, x, order: int):
     """Full antisymmetric matrix of component jets at x (None where zero)."""
@@ -173,18 +177,15 @@ def _c1_jet(theta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
     return out * 0.5j
 
 
-def _c2_term_jets(theta_jets, dtheta_jets, fjet: Jet, gjet: Jet, off: int, K: int):
-    """The three second-order ansatz terms as jets of order K.
-
-    Returns (T_a, T_b, T_c):
+def _c2_jet(theta_jets, dtheta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+    """C_2(f, g) = C2_WEIGHTS[0] T_a + C2_WEIGHTS[1] T_b as a jet of order K,
+    with
       T_a = th^{ij} th^{kl} d_i d_k f  d_j d_l g
-      T_b = (d_l th^{ij}) th^{kl} (d_i d_k f d_j g - d_i f d_j d_k g)
-      T_c = (d_l th^{ij}) (d_j th^{kl}) d_i f d_k g
+      T_b = (d_l th^{ij}) th^{kl} (d_i d_k f d_j g - d_i f d_j d_k g).
+    The theta jets must already have order K.
     """
     n = len(theta_jets)
-    base, dim = fjet.base, fjet.dim
-    zero = jet_constant(0.0, base, dim, K)
-    Ta = Tb = Tc = zero
+    Ta = Tb = jet_constant(0.0, fjet.base, fjet.dim, K)
 
     df = [fjet.deriv(off + i) for i in range(n)]
     dg = [gjet.deriv(off + i) for i in range(n)]
@@ -196,21 +197,17 @@ def _c2_term_jets(theta_jets, dtheta_jets, fjet: Jet, gjet: Jet, off: int, K: in
     for i in range(n):
         for j in range(n):
             th_ij = theta_jets[i][j]
-            dth_ij = dtheta_jets[i][j]
-            if th_ij is None and dth_ij is None:
+            if th_ij is None:
                 continue
+            dth_ij = dtheta_jets[i][j]
             for k in range(n):
                 for l in range(n):
                     th_kl = theta_jets[k][l]
-                    if th_ij is not None and th_kl is not None:
-                        Ta = Ta + th_ij.truncate(K) * th_kl.truncate(K) * d2f[i][k] * d2g[j][l]
-                    if dth_ij is not None and th_kl is not None:
-                        w = dth_ij[l].truncate(K) * th_kl.truncate(K)
-                        Tb = Tb + w * (d2f[i][k] * dg[j] - df[i] * d2g[j][k])
-                    dth_kl = dtheta_jets[k][l]
-                    if dth_ij is not None and dth_kl is not None:
-                        Tc = Tc + dth_ij[l].truncate(K) * dth_kl[j].truncate(K) * df[i] * dg[k]
-    return Ta, Tb, Tc
+                    if th_kl is None:
+                        continue
+                    Ta = Ta + th_ij * th_kl * d2f[i][k] * d2g[j][l]
+                    Tb = Tb + dth_ij[l] * th_kl * (d2f[i][k] * dg[j] - df[i] * d2g[j][k])
+    return Ta * C2_WEIGHTS[0] + Tb * C2_WEIGHTS[1]
 
 
 def _dtheta_matrix_jets(theta: VerticalMultivector, x, order: int):
@@ -226,7 +223,7 @@ def _dtheta_matrix_jets(theta: VerticalMultivector, x, order: int):
     return out
 
 
-def _vertical_star_jets(theta, weights, F, G, x, out_orders):
+def _vertical_star_jets(theta, F, G, x, out_orders):
     N = len(out_orders) - 1
     if N > 2:
         raise ValueError("general vertical star products support order <= 2 only")
@@ -258,86 +255,9 @@ def _vertical_star_jets(theta, weights, F, G, x, out_orders):
                           for row in theta_jets]
                     dj = [[None if e is None else [d.truncate(K) for d in e] for e in row]
                           for row in dtheta_jets]
-                    Ta, Tb, Tc = _c2_term_jets(tj, dj, fj.truncate(K + 2), gj.truncate(K + 2), off, K)
-                    term = Ta * weights[0] + Tb * weights[1] + Tc * weights[2]
+                    term = _c2_jet(tj, dj, fj.truncate(K + 2), gj.truncate(K + 2), off, K)
                 out[t] = out[t] + term
     return out
-
-
-# ---------------------------------------------------------------------------
-# solving the order-2 operator
-# ---------------------------------------------------------------------------
-
-
-def solve_C2(theta: VerticalMultivector, rng=None, n_rows: int = 80,
-             jacobi_samples=None, tol: float = 1e-9):
-    """Weights (a, b, c) of the second-order bidifferential ansatz making the
-    order-2 associativity defect vanish.
-
-    The associativity identity at second order is linear in the weights; it is
-    sampled on random monomial triples at random points and solved by least
-    squares.  Requires theta to be Poisson (small Jacobi defect).
-    """
-    rng = rng or np.random.default_rng(0)
-    if jacobi_samples is not None:
-        defect = jacobi_defect(theta, jacobi_samples)
-        if defect >= tol:
-            raise ValueError(f"theta is not Poisson: Jacobi defect {defect:.2e}")
-    n = theta.base_dim
-    off = theta.fiber_offset
-    dim = theta.ambient_dim
-    R = theta.support_radius or 1.0
-
-    rows, rhs = [], []
-    for _ in range(n_rows):
-        x = np.zeros(dim)
-        if off > 0:
-            x[:off] = rng.uniform(-1, 1, off)
-        x[off:] = rng.uniform(-1, 1, n) * R
-        fgh = []
-        for _k in range(3):
-            m = [0] * dim
-            for _d in range(rng.integers(1, 4)):
-                m[off + rng.integers(0, n)] += 1
-            fgh.append(sf.polynomial({tuple(m): 1.0}, dim))
-        f, g, h = fgh
-
-        tj = _theta_matrix_jets(theta, x, 2)
-        dj = _dtheta_matrix_jets(theta, x, 1)
-        jets = {obj: eval_jet(obj, x, 3) for obj in (f, g, h, f * g, g * h)}
-
-        # contribution of each ansatz term to the order-2 associator
-        contrib = np.zeros(3, dtype=complex)
-        for m_i in range(3):
-            w = [0.0, 0.0, 0.0]
-            w[m_i] = 1.0
-
-            def c2val(u, v):
-                uj, vj = jets.setdefault(u, eval_jet(u, x, 3)), jets.setdefault(v, eval_jet(v, x, 3))
-                Ta, Tb, Tc = _c2_term_jets(tj, dj, uj.truncate(2), vj.truncate(2), off, 0)
-                return (Ta * w[0] + Tb * w[1] + Tc * w[2]).value
-
-            contrib[m_i] = (c2val(f * g, h) + c2val(f, g) * jets[h].value
-                            - c2val(f, g * h) - jets[f].value * c2val(g, h))
-        c1_fg = _c1_jet([[None if e is None else e.truncate(2) for e in row] for row in tj],
-                        jets[f].truncate(2), jets[g].truncate(2), off, 1)
-        c1_gh = _c1_jet([[None if e is None else e.truncate(2) for e in row] for row in tj],
-                        jets[g].truncate(2), jets[h].truncate(2), off, 1)
-        tj0 = [[None if e is None else e.truncate(1) for e in row] for row in tj]
-        r0 = (_c1_jet(tj0, c1_fg, eval_jet(h, x, 1), off, 0).value
-              - _c1_jet(tj0, eval_jet(f, x, 1), c1_gh, off, 0).value)
-        rows.append(contrib)
-        rhs.append(-r0)
-
-    A = np.asarray(rows)
-    b = np.asarray(rhs)
-    # real f, g, h and real theta make every ansatz value real and every C1
-    # composition real, so the system is real
-    M = np.vstack([A.real, A.imag])
-    y = np.concatenate([b.real, b.imag])
-    w, *_ = np.linalg.lstsq(M, y, rcond=None)
-    residual = float(np.max(np.abs(M @ w - y))) if len(y) else 0.0
-    return tuple(w), residual
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +274,6 @@ class StarProduct:
     Theta: np.ndarray | None = None
     Theta_fn: object = None
     theta: VerticalMultivector | None = None
-    weights: tuple | None = None
 
     @property
     def total_dim(self) -> int:
@@ -388,7 +307,7 @@ class StarProduct:
             return _moyal_star_jets(Theta, F, G, axes, self.total_dim,
                                     F[0].base, out_orders)
         if self.mode == "general_vertical":
-            return _vertical_star_jets(self.theta, self.weights, F, G, x, out_orders)
+            return _vertical_star_jets(self.theta, F, G, x, out_orders)
         raise ValueError(f"unknown mode {self.mode!r}")
 
     def star_at(self, f: SmoothMap, g: SmoothMap, x) -> FormalSeries:
@@ -412,8 +331,7 @@ class StarProduct:
             return StarProduct("moyal_constant", self.n, self.lambda_order,
                                picture="fiber", Theta=Theta)
         return StarProduct("general_vertical", self.n, self.lambda_order,
-                           picture="fiber", theta=restrict_to_fiber(self.theta, p),
-                           weights=self.weights)
+                           picture="fiber", theta=restrict_to_fiber(self.theta, p))
 
 
 def moyal_constant(n: int, Theta, lambda_order: int, picture: str = "fiber") -> StarProduct:
@@ -430,15 +348,34 @@ def moyal_fiberwise(n: int, Theta_fn, lambda_order: int) -> StarProduct:
 
 
 def general_vertical(theta: VerticalMultivector, lambda_order: int,
-                     rng=None, jacobi_samples=None) -> StarProduct:
+                     jacobi_samples=None) -> StarProduct:
+    """Star product of order <= 2 for a vertical Poisson bivector theta,
+
+      f * g = f g + lam C_1(f, g) + lam^2 C_2(f, g),
+      C_1 = (i/2) th^{ij} d_i f d_j g,   C_2 = -(1/8) T_a - (1/12) T_b
+
+    (T_a, T_b as in `_c2_jet`).  These are the order-2 terms of Kontsevich's
+    formula (arXiv:q-alg/9709040) with hbar = i lam and alpha = theta / 2:
+    hbar^2/2 alpha alpha gives -1/8 T_a and hbar^2/3 alpha d alpha gives
+    -1/12 T_b.  Kontsevich's third term, -hbar^2/6 (d_l alpha^{ij})
+    (d_j alpha^{kl}) d_i f d_k g = +(1/24) (d_l th^{ij}) (d_j th^{kl}) d_i f d_k g,
+    is left out: its coefficient matrix is symmetric, so it is the Hochschild
+    coboundary of a second-order differential operator and associativity
+    cannot see it.  Dropping it is a gauge choice (a different but equivalent
+    product); for constant theta both choices reduce to Weyl-Moyal.
+
+    With jacobi_samples, theta is first checked to be Poisson there, and a
+    ValueError is raised when the Jacobi defect reaches 1e-9.
+    """
     if lambda_order > 2:
         raise ValueError("general vertical star products support order <= 2 only")
+    if jacobi_samples is not None:
+        defect = jacobi_defect(theta, jacobi_samples)
+        if defect >= 1e-9:
+            raise ValueError(f"theta is not Poisson: Jacobi defect {defect:.2e}")
     picture = "tm" if theta.fiber_offset > 0 else "fiber"
-    weights = (0.0, 0.0, 0.0)
-    if lambda_order >= 2:
-        weights, _res = solve_C2(theta, rng=rng, jacobi_samples=jacobi_samples)
     return StarProduct("general_vertical", theta.base_dim, lambda_order,
-                       picture=picture, theta=theta, weights=weights)
+                       picture=picture, theta=theta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from scipy import optimize
 from . import smoothfn as sf
 from .formal import ZERO_TOL, FormalSeries, is_formally_positive
 from .jets import Jet, jet_constant, jet_laplacian, multi_indices
+from .poisson import standard_symplectic
 from .smoothfn import SmoothMap, eval_jet
 from .starprod import StarProduct
 
@@ -210,12 +211,8 @@ def trust_report(state: CoherentState, sp: StarProduct) -> dict:
         report["reason"] = "bare delta functionals are not positive"
         return report
     if sp.mode in ("moyal_constant", "moyal_fiberwise") and sp.Theta is not None:
-        n = sp.n
-        std = np.zeros((n, n))
-        for k in range(n // 2):
-            std[2 * k, 2 * k + 1] = 1.0
-            std[2 * k + 1, 2 * k] = -1.0
-        if np.array_equal(sp.Theta, std) and np.array_equal(state.metric_inv, np.eye(n)):
+        if (np.array_equal(sp.Theta, standard_symplectic(sp.n))
+                and np.array_equal(state.metric_inv, np.eye(sp.n))):
             report.update(guaranteed=True, scan_required=False,
                           reason="standard compatible (Theta, g) pair")
             return report

@@ -4,14 +4,6 @@ import pytest
 from vertstar import smoothfn as sf
 
 
-def standard_symplectic(n):
-    Theta = np.zeros((n, n))
-    for k in range(n // 2):
-        Theta[2 * k, 2 * k + 1] = 1.0
-        Theta[2 * k + 1, 2 * k] = -1.0
-    return Theta
-
-
 def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
     """Random polynomial with monomials drawn on the given axes."""
     axes = list(range(dim)) if axes is None else list(axes)

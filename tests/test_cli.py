@@ -129,3 +129,11 @@ def test_pairs_demo_commutator_dies_off(capsys):
 def test_run_check_unknown_name():
     with pytest.raises(ConfigError):
         run_check(ExperimentConfig(), "bogus")
+
+
+def test_lie_linear_kind_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"theta_spec": {"kind": "lie_linear"}}))
+    code, _out, err = run(["check", "assoc", "--config", str(path)], capsys)
+    assert code == 2
+    assert "theta_spec.kind" in err

@@ -6,6 +6,7 @@ import pytest
 
 from vertstar import poisson, smoothfn as sf
 from vertstar.formal import FormalSeries, is_formally_positive
+from vertstar.poisson import standard_symplectic
 from vertstar.starprod import general_vertical, moyal_constant
 from vertstar.states import (
     CoherentState,
@@ -21,7 +22,7 @@ from vertstar.states import (
     trust_report,
 )
 
-from conftest import random_poly, standard_symplectic
+from conftest import random_poly
 
 STD4 = standard_symplectic(4)
 
@@ -154,7 +155,7 @@ def test_classicality_outside_support():
     th = poisson.restrict_to_fiber(
         poisson.build_ball_compact_theta(2, standard_symplectic(2), 1.0, 0.25),
         np.zeros(2))
-    sp = general_vertical(th, 2, rng=np.random.default_rng(5))
+    sp = general_vertical(th, 2)
     rng = np.random.default_rng(6)
     for _ in range(10):
         base = rng.uniform(1.4, 2.5, 2) * rng.choice([-1.0, 1.0], 2)
@@ -221,7 +222,7 @@ def test_trust_report(sp4):
     th = poisson.restrict_to_fiber(
         poisson.build_ball_compact_theta(2, standard_symplectic(2), 1.0, 0.25),
         np.zeros(2))
-    spv = general_vertical(th, 2, rng=np.random.default_rng(7))
+    spv = general_vertical(th, 2)
     inner = CoherentState((0.1, 0.0), 2, 2)
     outer = CoherentState((3.0, 0.0), 2, 2)
     assert trust_report(inner, spv)["annulus"]
