@@ -103,6 +103,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("theta_spec.r and .eps must be positive")
     samples = raw.get("samples", {})
     cfg.sample_count = int(samples.get("count", cfg.sample_count))
+    if cfg.sample_count < 1:
+        raise ConfigError("samples.count must be >= 1")
     cfg.seed = int(samples.get("seed", cfg.seed))
     output = raw.get("output", {})
     cfg.out_path = output.get("path", cfg.out_path)
@@ -255,6 +257,9 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         sp = build_star(cfg, picture="tm")
         fs = _random_fiber_polys(cfg, rng, 3 * min(cfg.sample_count, 50))
         pts = rng.uniform(-1, 1, (min(cfg.sample_count, 50), 2 * cfg.n))
+        if cfg.theta.kind != "constant":
+            # reach the transition annulus of the support, where d theta != 0
+            pts[:, cfg.n:] *= cfg.theta.r + cfg.theta.eps
         defect = 0.0
         for k in range(len(pts)):
             d = starprod.associativity_defect(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import smoothfn as sf
-from .smoothfn import SmoothMap, eval_jet, evaluate
+from .smoothfn import SmoothMap, eval_jet, eval_jets, evaluate
 
 
 @dataclass(eq=False)
@@ -61,8 +61,9 @@ class VerticalMultivector:
         """Dense antisymmetric component array evaluated at a point (degree 2)."""
         n = self.base_dim
         out = np.zeros((n, n), dtype=complex)
+        memo: dict = {}
         for (i, j), f in self.components.items():
-            v = evaluate(f, x)
+            v = evaluate(f, x, memo)
             out[i, j] = v
             out[j, i] = -v
         return out
@@ -157,14 +158,43 @@ def schouten(X: VerticalMultivector, Y: VerticalMultivector) -> VerticalMultivec
 
 
 def jacobi_defect(theta: VerticalMultivector, samples) -> float:
-    """Max pointwise magnitude of [[theta, theta]] over the sample points."""
+    """Max pointwise magnitude of [[theta, theta]] over the sample points.
+
+    The bracket is taken from the cyclic formula
+
+        [[theta, theta]]^{ijk} = 2 (A^{ijk} + A^{jki} + A^{kij}),
+        A^{ijk} = sum_l theta^{il} d_l theta^{jk},
+
+    with d_l the l-th fiber derivative.  The factor 2 is the normalization of
+    `schouten`, so the result is max |schouten(theta, theta)| over the
+    components i < j < k.  Each point takes one order-1 jet walk of all the
+    components, with subtrees they share evaluated once.  Raises ValueError
+    on an empty sample set or a point of the wrong dimension.
+    """
     if theta.degree != 2:
         raise ValueError("jacobi_defect requires a bivector")
-    bracket = schouten(theta, theta)
+    points = [np.asarray(x, dtype=float) for x in samples]
+    if not points:
+        raise ValueError("jacobi_defect needs at least one sample point")
+    if any(x.shape != (theta.ambient_dim,) for x in points):
+        raise ValueError("point dimension mismatch")
+    n, off = theta.base_dim, theta.fiber_offset
+    if n < 3:
+        return 0.0
+    i, j, k = np.array(list(combinations(range(n), 3))).T
+    keys, fns = list(theta.components), list(theta.components.values())
     worst = 0.0
-    for x in samples:
-        for f in bracket.components.values():
-            worst = max(worst, abs(evaluate(f, x)))
+    for x in points:
+        T = np.zeros((n, n), dtype=complex)
+        dT = np.zeros((n, n, n), dtype=complex)  # dT[l, a, b] = d_l theta^{ab}
+        for (a, b), jet in zip(keys, eval_jets(fns, x, 1)):
+            # graded order: the first partials follow the value, axis by axis
+            grad = jet.c[1 + off:1 + off + n]
+            T[a, b], T[b, a] = jet.value, -jet.value
+            dT[:, a, b], dT[:, b, a] = grad, -grad
+        A = np.einsum("il,ljk->ijk", T, dT)
+        J = 2.0 * (A + A.transpose(2, 0, 1) + A.transpose(1, 2, 0))
+        worst = max(worst, float(np.max(np.abs(J[i, j, k]))))
     return worst
 
 
@@ -389,8 +419,10 @@ def check_flip_even(theta: VerticalMultivector, samples) -> float:
     for x in samples:
         y = np.array(x, dtype=float)
         y[off:] = -y[off:]
+        memo_x: dict = {}
+        memo_y: dict = {}
         for f in theta.components.values():
-            worst = max(worst, abs(evaluate(f, x) - evaluate(f, y)))
+            worst = max(worst, abs(evaluate(f, x, memo_x) - evaluate(f, y, memo_y)))
     return worst
 
 
@@ -404,8 +436,9 @@ def check_support(theta: VerticalMultivector, samples) -> float:
         v = np.asarray(x, dtype=float)[off:]
         if np.linalg.norm(v) < theta.support_radius:
             continue
+        memo: dict = {}
         for f in theta.components.values():
-            worst = max(worst, abs(evaluate(f, x)))
+            worst = max(worst, abs(evaluate(f, x, memo)))
     return worst
 
 

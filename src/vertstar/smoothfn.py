@@ -407,11 +407,19 @@ def evaluate(f: SmoothMap, x, _memo=None):
 
 def eval_jet(f: SmoothMap, x, order: int) -> Jet:
     """Jet of f at x to the given order."""
+    return eval_jets([f], x, order)[0]
+
+
+def eval_jets(fs, x, order: int) -> list:
+    """Jets of several maps at one point x to the given order.  They share one
+    coordinate environment and one memo, so a subtree common to several maps
+    is walked once."""
     x = tuple(float(v) for v in np.asarray(x, dtype=float))
-    if len(x) != f.dim:
+    if any(len(x) != f.dim for f in fs):
         raise ValueError("point dimension mismatch")
-    env = tuple(jet_variable(i, x, f.dim, order) for i in range(f.dim))
-    return _eval_jet(f, env, {})
+    env = tuple(jet_variable(i, x, len(x), order) for i in range(len(x)))
+    memo: dict = {}
+    return [_eval_jet(f, env, memo) for f in fs]
 
 
 def _eval_jet(f: SmoothMap, env: tuple, memo: dict) -> Jet:

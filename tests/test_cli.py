@@ -137,3 +137,34 @@ def test_lie_linear_kind_rejected(tmp_path, capsys):
     code, _out, err = run(["check", "assoc", "--config", str(path)], capsys)
     assert code == 2
     assert "theta_spec.kind" in err
+
+
+def test_zero_samples_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"theta_spec": {"kind": "ball_compact"},
+                                "samples": {"count": 0}}))
+    code, out, err = run(["check", "all", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "samples.count" in err
+
+
+def test_assoc_check_reaches_transition_annulus(monkeypatch):
+    # the commuting-compact theta has d theta != 0 only where some
+    # 1 < |v^a| < 1.25; a product that is wrong only there must fail the check
+    from vertstar import starprod
+    cfg = config_from_dict({"n": 4, "theta_spec": {"kind": "commuting_compact"},
+                            "star_mode": "general_vertical",
+                            "samples": {"count": 20, "seed": 1}})
+    seen = []
+    real = starprod.associativity_defect
+
+    def spy(sp, f, g, h, pts):
+        seen.extend(pts)
+        return real(sp, f, g, h, pts)
+
+    monkeypatch.setattr(starprod, "associativity_defect", spy)
+    assert run_check(cfg, "assoc")["ok"]
+    v = np.abs(np.array(seen)[:, 4:])
+    assert ((v > 1.0) & (v < 1.25)).any(axis=0).all()
+    monkeypatch.setattr(starprod, "C2_WEIGHTS", (-1.0 / 8.0, 0.0))
+    assert not run_check(cfg, "assoc")["ok"]

@@ -1,8 +1,13 @@
 """Vertical multivector fields: Schouten bracket laws, the Jacobi identity for
 the shipped constructors, the HKR map, and the structural checks."""
 
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertstar import poisson, smoothfn as sf
 from vertstar.poisson import (
@@ -29,6 +34,10 @@ STD2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 STD4 = np.zeros((4, 4))
 STD4[0, 1] = STD4[2, 3] = 1.0
 STD4[1, 0] = STD4[3, 2] = -1.0
+SO3 = np.zeros((3, 3, 3))  # c^{ij}_k = epsilon_{ijk}
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    SO3[_i, _j, _k] = 1.0
+    SO3[_j, _i, _k] = -1.0
 
 
 def vector_field(n, comps):
@@ -115,12 +124,7 @@ def test_jacobi_constant_and_linear():
     rng = np.random.default_rng(2)
     samples = rng.uniform(-1, 1, (50, 8))
     assert jacobi_defect(constant_theta(4, STD4), samples) < 1e-12
-    # so(3) structure constants: c^{ij}_k = epsilon_{ijk}
-    eps = np.zeros((3, 3, 3))
-    for (i, j, k), s in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                         ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)):
-        eps[i, j, k] = s
-    th = lie_linear_theta(3, eps)
+    th = lie_linear_theta(3, SO3)
     assert jacobi_defect(th, rng.uniform(-1, 1, (50, 6))) < 1e-12
 
 
@@ -216,3 +220,80 @@ def test_wrong_degree_raises():
     X = vector_field(2, {0: sf.constant(1.0, 4)})
     with pytest.raises(ValueError):
         jacobi_defect(X, [np.zeros(4)])
+
+
+_RNG = np.random.default_rng(11)
+GENERIC4 = _RNG.uniform(-1, 1, (4, 4))
+GENERIC4 = GENERIC4 - GENERIC4.T
+NOT_LIE = _RNG.uniform(-1, 1, (4, 4, 4))
+NOT_LIE = NOT_LIE - NOT_LIE.transpose(1, 0, 2)
+JACOBI_CASES = {
+    "constant": lambda: constant_theta(4, GENERIC4),
+    "lie_linear": lambda: lie_linear_theta(3, SO3),
+    "linear_not_lie": lambda: lie_linear_theta(4, NOT_LIE),
+    "commuting_compact": lambda: build_commuting_compact_theta(4, STD4, 1.0, 0.25),
+    "ball_compact": lambda: build_ball_compact_theta(4, GENERIC4, 1.0, 0.25),
+    "naive_scaled": lambda: naive_scaled_theta(4, GENERIC4, 1.0, 0.25),
+    "restricted": lambda: restrict_to_fiber(
+        naive_scaled_theta(4, GENERIC4, 1.0, 0.25), [0.3, -0.2, 0.1, 0.5]),
+}
+
+
+@lru_cache(maxsize=None)
+def theta_and_bracket(name):
+    th = JACOBI_CASES[name]()
+    return th, schouten(th, th)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(JACOBI_CASES)),
+       st.lists(st.floats(-1.3, 1.3), min_size=8, max_size=8),
+       st.one_of(st.none(), st.floats(0.0, 1.3)))
+def test_jacobi_defect_matches_schouten_reference(name, coords, radius):
+    # reference: every component of the Schouten bracket, evaluated alone;
+    # a radius rescales the fiber part onto that sphere, to hit the annulus
+    th, bracket = theta_and_bracket(name)
+    x = np.array(coords[:th.ambient_dim])
+    v = x[th.fiber_offset:]
+    if radius is not None and np.linalg.norm(v) > 0:
+        v *= radius / np.linalg.norm(v)
+    ref = max((abs(evaluate(f, x)) for f in bracket.components.values()),
+              default=0.0)
+    assert abs(jacobi_defect(th, [x]) - ref) <= 1e-12 * max(1.0, ref)
+
+
+def test_jacobi_defect_degenerate_inputs():
+    th2 = naive_scaled_theta(2, STD2, 1.0, 0.25)
+    assert jacobi_defect(th2, [np.array([0.0, 0.0, 1.1, 0.0])]) == 0.0
+    th4 = naive_scaled_theta(4, STD4, 1.0, 0.25)
+    for th, dim in ((th2, 4), (th4, 8)):
+        with pytest.raises(ValueError):
+            jacobi_defect(th, [np.zeros(dim + 1)])
+        with pytest.raises(ValueError):
+            jacobi_defect(th, [])
+
+
+def test_shared_memo_checks_match_per_component_evaluate():
+    th = build_ball_compact_theta(4, STD4, 1.0, 0.25)
+    samples = fiber_samples(th, 40, seed=2, radius=1.3)
+    for x in samples:
+        m = th.matrix_at(x)
+        for (i, j), f in th.components.items():
+            assert m[i, j] == evaluate(f, x) and m[j, i] == -evaluate(f, x)
+    # not flip-even, and every component shares its subtrees with the others
+    odd = VerticalMultivector(4, 2, {k: f * (sf.coordinate(4, 8) + 1.0)
+                                     for k, f in th.components.items()})
+    for X in (th, odd):
+        ref = 0.0
+        for x in samples:
+            y = np.concatenate([x[:4], -x[4:]])
+            for f in X.components.values():
+                ref = max(ref, abs(evaluate(f, x) - evaluate(f, y)))
+        assert check_flip_even(X, samples) == ref
+    assert ref > 0.1
+    # a declared radius inside the support, so the checked values are not 0
+    inner = replace(th, support_radius=0.5)
+    ref = max(abs(evaluate(f, x)) for x in samples if np.linalg.norm(x[4:]) >= 0.5
+              for f in th.components.values())
+    assert ref > 0.1
+    assert check_support(inner, samples) == ref
