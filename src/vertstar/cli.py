@@ -88,6 +88,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         cfg.metric_inv = np.asarray(raw["metric_inv"], dtype=float)
         if cfg.metric_inv.shape != (cfg.n, cfg.n):
             raise ConfigError("metric_inv must be an n x n matrix")
+        g = cfg.metric_inv
+        if not np.allclose(g, g.T) or np.any(np.linalg.eigvalsh(g) <= 0):
+            raise ConfigError("metric_inv must be symmetric positive definite")
     ts = raw.get("theta_spec", {})
     kinds = ("constant", "commuting_compact", "ball_compact")
     cfg.theta.kind = ts.get("kind", cfg.theta.kind)
@@ -97,6 +100,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         cfg.theta.Theta = np.asarray(ts["Theta"], dtype=float)
         if cfg.theta.Theta.shape != (cfg.n, cfg.n):
             raise ConfigError("theta_spec.Theta must be an n x n matrix")
+        if not np.allclose(cfg.theta.Theta, -cfg.theta.Theta.T, atol=1e-14):
+            raise ConfigError("theta_spec.Theta must be antisymmetric")
     cfg.theta.r = float(ts.get("r", cfg.theta.r))
     cfg.theta.eps = float(ts.get("eps", cfg.theta.eps))
     if cfg.theta.r <= 0 or cfg.theta.eps <= 0:

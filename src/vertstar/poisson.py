@@ -401,13 +401,10 @@ def fiber_samples(theta: VerticalMultivector, count: int, seed: int = 0,
         if theta.fiber_offset > 0:
             x[:n] = (2 * row[:n] - 1) * base_box
         v = 2 * row[theta.fiber_offset:] - 1
-        if k < count - n_boundary:
-            scale = R
-        else:
+        if k >= count - n_boundary:
             nv = np.linalg.norm(v) or 1.0
             v = v / nv * (1.0 + 0.1 * (2 * row[0] - 1))
-            scale = R
-        x[theta.fiber_offset:] = v * scale
+        x[theta.fiber_offset:] = v * R
         out.append(x)
     return out
 

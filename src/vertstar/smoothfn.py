@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, jet_compose_univariate, jet_constant, jet_variable
+from .jets import (Jet, jet_compose_univariate, jet_constant, jet_variable,
+                   multi_indices, n_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -412,34 +414,66 @@ def eval_jet(f: SmoothMap, x, order: int) -> Jet:
 
 def eval_jets(fs, x, order: int) -> list:
     """Jets of several maps at one point x to the given order.  They share one
-    coordinate environment and one memo, so a subtree common to several maps
-    is walked once."""
+    walk, so a subtree common to several maps is evaluated once."""
     x = tuple(float(v) for v in np.asarray(x, dtype=float))
     if any(len(x) != f.dim for f in fs):
         raise ValueError("point dimension mismatch")
-    env = tuple(jet_variable(i, x, len(x), order) for i in range(len(x)))
-    memo: dict = {}
-    return [_eval_jet(f, env, memo) for f in fs]
+    env = _Env(x, order)
+    return [_eval_jet(f, env) for f in fs]
 
 
-def _eval_jet(f: SmoothMap, env: tuple, memo: dict) -> Jet:
-    key = (id(f), id(env))
-    if key in memo:
-        return memo[key]
+class _Env:
+    """A coordinate environment of one jet walk.  `memo` holds the jets of the
+    nodes evaluated in it, keyed by id (every node is alive for the walk);
+    `derived` holds the environments made from it for affine and derivative
+    nodes, keyed by content, so all the nodes that need one share its memo."""
+
+    def __init__(self, x: tuple, order: int, coords: tuple | None = None):
+        # made from the point alone, the environment is plain coordinates
+        self.plain = coords is None
+        self.coords = coords or tuple(jet_variable(i, x, len(x), order) for i in range(len(x)))
+        self.memo: dict = {}
+        self.derived: dict = {}
+
+    def pullback(self, A: np.ndarray, b: np.ndarray) -> "_Env":
+        key = (A.shape, A.tobytes(), b.tobytes())
+        if key not in self.derived:
+            c, ref = self.coords, self.coords[0]
+            self.derived[key] = _Env(ref.base, ref.order, tuple(
+                sum((c[i] * A[j, i] for i in range(len(c)) if A[j, i] != 0.0),
+                    jet_constant(b[j], ref.base, ref.dim, ref.order))
+                for j in range(A.shape[0])))
+        return self.derived[key]
+
+    def raised(self) -> "_Env":
+        """The coordinates one order higher, for a derivative node."""
+        if not self.plain:
+            raise NotImplementedError("derivative nodes require direct coordinates")
+        if "deriv" not in self.derived:
+            ref = self.coords[0]
+            self.derived["deriv"] = _Env(ref.base, ref.order + 1)
+        return self.derived["deriv"]
+
+
+def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
+    memo = env.memo
+    if id(f) in memo:
+        return memo[id(f)]
     k = f.kind
-    ref = env[0]
+    coords = env.coords
+    ref = coords[0]
     if k == "coord":
-        out = env[f.payload]
+        out = coords[f.payload]
     elif k == "const":
         out = jet_constant(f.payload, ref.base, ref.dim, ref.order)
     elif k == "sum":
-        out = _eval_jet(f.children[0], env, memo) + _eval_jet(f.children[1], env, memo)
+        out = _eval_jet(f.children[0], env) + _eval_jet(f.children[1], env)
     elif k == "prod":
-        out = _eval_jet(f.children[0], env, memo) * _eval_jet(f.children[1], env, memo)
+        out = _eval_jet(f.children[0], env) * _eval_jet(f.children[1], env)
     elif k == "scale":
-        out = _eval_jet(f.children[0], env, memo) * f.payload
+        out = _eval_jet(f.children[0], env) * f.payload
     elif k == "power":
-        out = _eval_jet(f.children[0], env, memo) ** f.payload
+        out = _eval_jet(f.children[0], env) ** f.payload
     elif k == "quad":
         A = f.payload
         n = A.shape[0]
@@ -449,79 +483,54 @@ def _eval_jet(f: SmoothMap, env: tuple, memo: dict) -> Jet:
                 a = A[i, j] + (A[j, i] if j > i else 0.0)
                 if a == 0:
                     continue
-                term = (env[i] * env[j]) * a
+                term = (coords[i] * coords[j]) * a
                 out = term if out is None else out + term
         if out is None:
             out = jet_constant(0.0, ref.base, ref.dim, ref.order)
     elif k == "poly":
-        out = _poly_jet(f.payload, env, ref)
+        out = _poly_jet(f.payload, env)
     elif k == "affine":
-        A, b = f.payload
-        inner_env = tuple(
-            sum((env[i] * A[j, i] for i in range(len(env)) if A[j, i] != 0.0),
-                jet_constant(b[j], ref.base, ref.dim, ref.order))
-            for j in range(A.shape[0])
-        )
-        out = _eval_jet(f.children[0], inner_env, memo)
+        out = _eval_jet(f.children[0], env.pullback(*f.payload))
     elif k == "uni":
-        inner = _eval_jet(f.children[0], env, memo)
+        inner = _eval_jet(f.children[0], env)
         out = jet_compose_univariate(f.payload.taylor(inner.value, inner.order), inner)
     elif k == "deriv":
-        if not _env_is_identity(env):
-            raise NotImplementedError("derivative nodes require direct coordinates")
-        hi_key = ("_hi", id(env))
-        if hi_key not in memo:
-            memo[hi_key] = tuple(
-                jet_variable(i, ref.base, ref.dim, ref.order + 1) for i in range(ref.dim)
-            )
-        out = _eval_jet(f.children[0], memo[hi_key], memo).deriv(f.payload)
+        out = _eval_jet(f.children[0], env.raised()).deriv(f.payload)
     else:
         raise ValueError(f"unknown node kind {k!r}")
-    memo[key] = out
+    memo[id(f)] = out
     return out
 
 
-def _env_is_identity(env) -> bool:
-    if any(j.dim != len(env) for j in env):
-        return False
-    for i, j in enumerate(env):
-        ref = jet_variable(i, j.base, j.dim, j.order)
-        if not np.array_equal(j.c, ref.c):
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _index_array(dim: int, degree: int) -> np.ndarray:
+    """multi_indices(dim, degree) as an integer array, one row per index."""
+    return np.array(multi_indices(dim, degree), dtype=int).reshape(-1, dim)
 
 
-def _poly_jet(coeffs: dict, env: tuple, ref: Jet) -> Jet:
-    """Exact jet of a polynomial when the environment is plain coordinates;
-    falls back to jet arithmetic otherwise."""
-    if _env_is_identity(env):
-        x0 = np.asarray(ref.base, dtype=float)
-        dim, order = ref.dim, ref.order
-        from .jets import index_lookup, n_coeffs
-
-        lut = index_lookup(dim, order)
-        c = np.zeros(n_coeffs(dim, order), dtype=complex)
+def _poly_jet(coeffs: dict, env: _Env) -> Jet:
+    """Jet of a polynomial: in closed form when the environment is plain
+    coordinates, by jet arithmetic otherwise."""
+    ref = env.coords[0]
+    dim, order = ref.dim, ref.order
+    if not env.plain:
+        out = jet_constant(0.0, ref.base, dim, order)
         for m, cm in coeffs.items():
-            deg = sum(m)
-            # shift the monomial to x0: coefficient at alpha <= m
-            for alpha, pos in lut.items():
-                if sum(alpha) > deg:
-                    break
-                w = cm
-                ok = True
-                for i in range(dim):
-                    if alpha[i] > m[i]:
-                        ok = False
-                        break
-                    w *= math.comb(m[i], alpha[i]) * x0[i] ** (m[i] - alpha[i])
-                if ok:
-                    c[pos] += w
-        return Jet(dim, order, ref.base, c)
-    out = jet_constant(0.0, ref.base, ref.dim, ref.order)
+            term = jet_constant(cm, ref.base, dim, order)
+            for i, e in enumerate(m):
+                for _ in range(e):
+                    term = term * env.coords[i]
+            out = out + term
+        return out
+    # x^m shifted to x0 has the coefficient prod_i comb(m_i, alpha_i)
+    # x0_i^(m_i - alpha_i) at alpha <= m, and 0 at every other alpha
+    c = np.zeros(n_coeffs(dim, order), dtype=complex)
     for m, cm in coeffs.items():
-        term = jet_constant(cm, ref.base, ref.dim, ref.order)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                term = term * env[i]
-        out = out + term
-    return out
+        alpha = _index_array(dim, min(sum(m), order))
+        w = np.full(len(alpha), cm, dtype=complex)
+        for i, x in enumerate(ref.base):
+            factor = np.zeros(sum(m) + 1)  # indexed by alpha_i, 0 above m_i
+            factor[:m[i] + 1] = [math.comb(m[i], a) * x ** (m[i] - a) for a in range(m[i] + 1)]
+            w = w * factor[alpha[:, i]]
+        c[:len(alpha)] += w
+    return Jet(dim, order, ref.base, c)

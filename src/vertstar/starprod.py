@@ -24,7 +24,7 @@ from . import smoothfn as sf
 from .formal import FormalSeries
 from .jets import Jet, jet_constant, multi_indices, n_coeffs
 from .poisson import VerticalMultivector, jacobi_defect, restrict_to_fiber
-from .smoothfn import SmoothMap, eval_jet, evaluate
+from .smoothfn import SmoothMap, eval_jet, eval_jets, evaluate
 
 # ---------------------------------------------------------------------------
 # doubled-jet machinery for Moyal modes
@@ -155,13 +155,13 @@ C2_WEIGHTS = (-1.0 / 8.0, -1.0 / 12.0)
 
 
 def _theta_matrix_jets(theta: VerticalMultivector, x, order: int):
-    """Full antisymmetric matrix of component jets at x (None where zero)."""
+    """Full antisymmetric matrix of component jets at x (None where zero),
+    from one walk of all the components."""
     n = theta.base_dim
     m = [[None] * n for _ in range(n)]
-    for (i, j), f in theta.components.items():
-        jet = eval_jet(f, x, order)
-        m[i][j] = jet
-        m[j][i] = -jet
+    comps = theta.components
+    for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order)):
+        m[i][j], m[j][i] = jet, -jet
     return m
 
 
@@ -177,15 +177,22 @@ def _c1_jet(theta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
     return out * 0.5j
 
 
-def _c2_jet(theta_jets, dtheta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+def _c2_jet(theta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
     """C_2(f, g) = C2_WEIGHTS[0] T_a + C2_WEIGHTS[1] T_b as a jet of order K,
     with
       T_a = th^{ij} th^{kl} d_i d_k f  d_j d_l g
       T_b = (d_l th^{ij}) th^{kl} (d_i d_k f d_j g - d_i f d_j d_k g).
-    The theta jets must already have order K.
+    The theta jets must have order above K.
     """
     n = len(theta_jets)
     Ta = Tb = jet_constant(0.0, fjet.base, fjet.dim, K)
+    dtheta_jets = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if theta_jets[i][j] is not None:
+                row = [theta_jets[i][j].deriv(off + l).truncate(K) for l in range(n)]
+                dtheta_jets[i][j], dtheta_jets[j][i] = row, [-d for d in row]
+    theta_jets = [[None if e is None else e.truncate(K) for e in row] for row in theta_jets]
 
     df = [fjet.deriv(off + i) for i in range(n)]
     dg = [gjet.deriv(off + i) for i in range(n)]
@@ -210,29 +217,14 @@ def _c2_jet(theta_jets, dtheta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> 
     return Ta * C2_WEIGHTS[0] + Tb * C2_WEIGHTS[1]
 
 
-def _dtheta_matrix_jets(theta: VerticalMultivector, x, order: int):
-    """dtheta[i][j][l] = jet of d_{v_l} theta^{ij}; None where zero."""
-    n = theta.base_dim
-    off = theta.fiber_offset
-    out = [[None] * n for _ in range(n)]
-    for (i, j), f in theta.components.items():
-        jet = eval_jet(f, x, order + 1)
-        row = [jet.deriv(off + l) for l in range(n)]
-        out[i][j] = row
-        out[j][i] = [-r for r in row]
-    return out
-
-
 def _vertical_star_jets(theta, F, G, x, out_orders):
     N = len(out_orders) - 1
     if N > 2:
         raise ValueError("general vertical star products support order <= 2 only")
-    n = theta.base_dim
     off = theta.fiber_offset
     base, dim = F[0].base, F[0].dim
     max_ord = max(out_orders)
     theta_jets = _theta_matrix_jets(theta, x, max_ord + 1)
-    dtheta_jets = _dtheta_matrix_jets(theta, x, max_ord) if N >= 2 else None
     out = [jet_constant(0.0, base, dim, K) for K in out_orders]
     for a in range(len(F)):
         for b in range(len(G)):
@@ -247,15 +239,9 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
                 if r == 0:
                     term = fj.truncate(K) * gj.truncate(K)
                 elif r == 1:
-                    tj = [[None if e is None else e.truncate(K + 1) for e in row]
-                          for row in theta_jets]
-                    term = _c1_jet(tj, fj.truncate(K + 1), gj.truncate(K + 1), off, K)
+                    term = _c1_jet(theta_jets, fj.truncate(K + 1), gj.truncate(K + 1), off, K)
                 else:
-                    tj = [[None if e is None else e.truncate(K) for e in row]
-                          for row in theta_jets]
-                    dj = [[None if e is None else [d.truncate(K) for d in e] for e in row]
-                          for row in dtheta_jets]
-                    term = _c2_jet(tj, dj, fj.truncate(K + 2), gj.truncate(K + 2), off, K)
+                    term = _c2_jet(theta_jets, fj.truncate(K + 2), gj.truncate(K + 2), off, K)
                 out[t] = out[t] + term
     return out
 

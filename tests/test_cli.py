@@ -168,3 +168,16 @@ def test_assoc_check_reaches_transition_annulus(monkeypatch):
     assert ((v > 1.0) & (v < 1.25)).any(axis=0).all()
     monkeypatch.setattr(starprod, "C2_WEIGHTS", (-1.0 / 8.0, 0.0))
     assert not run_check(cfg, "assoc")["ok"]
+
+
+@pytest.mark.parametrize("raw, argv", [
+    ({"n": 2, "metric_inv": [[1, 0], [0, -1]]}, ["distance", "--v", "1,0"]),
+    ({"n": 3, "theta_spec": {"Theta": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}},
+     ["check", "assoc"]),
+])
+def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(argv + ["--config", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("config error:")

@@ -3,9 +3,13 @@ bump profiles, affine pullbacks, and support metadata."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertstar import smoothfn as sf
-from vertstar.smoothfn import eval_jet, evaluate
+from vertstar.jets import multi_indices
+from vertstar.poisson import build_ball_compact_theta, restrict_to_fiber, standard_symplectic
+from vertstar.smoothfn import eval_jet, eval_jets, evaluate
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -148,3 +152,57 @@ def test_eval_jet_wrong_dim_raises():
     f = sf.coordinate(0, 2)
     with pytest.raises(ValueError):
         eval_jet(f, (1.0,), 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_poly_closed_form_matches_jet_arithmetic(data):
+    # an affine pullback, even the identity, makes a non-plain environment,
+    # so the pulled-back polynomial takes the jet-arithmetic branch
+    dim = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(0, 6))
+    monos = multi_indices(dim, data.draw(st.integers(0, 4)))
+    coef = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(monos), coef, min_size=1, max_size=6))
+    x = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    f = sf.polynomial(coeffs, dim)
+    closed = eval_jet(f, x, order).c
+    ref = eval_jet(sf.pullback_affine(f, np.eye(dim), np.zeros(dim)), x, order).c
+    assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _restricted_ball_theta():
+    """The six components of the n=4 ball theta on one fiber, and a point of
+    its transition annulus 1 < |v| < 1.25."""
+    th = build_ball_compact_theta(4, standard_symplectic(4), 1.0, 0.25)
+    th = restrict_to_fiber(th, (0.1, -0.2, 0.3, 0.0))
+    return list(th.components.values()), np.array([0.7, 0.6, 0.5, 0.3])
+
+
+def test_eval_jets_share_pulled_back_subtrees(monkeypatch):
+    # every component is its own affine node; their pulled-back environments
+    # have the same content, so the ramp profile M is evaluated once
+    fns, v = _restricted_ball_theta()
+    calls = []
+    taylor = sf.BallRampElem.taylor
+
+    def counted(self, u, order):
+        calls.append(u)
+        return taylor(self, u, order)
+
+    monkeypatch.setattr(sf.BallRampElem, "taylor", counted)
+    eval_jets(fns, v, 2)
+    assert len(fns) == 6 and len(calls) == 1
+
+
+def test_eval_jets_match_per_component_eval_jet():
+    fns, v = _restricted_ball_theta()
+    for f, jet in zip(fns, eval_jets(fns, v, 2)):
+        assert np.array_equal(jet.c, eval_jet(f, v, 2).c)
+
+
+def test_derivative_under_pullback_not_implemented():
+    df = sf.derivative(sf.radial_bump(2, (0, 1), 1.0, 0.5), 0)
+    g = sf.pullback_affine(df, np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.1, 0.0]))
+    with pytest.raises(NotImplementedError):
+        eval_jet(g, (0.4, 0.3), 1)
