@@ -57,16 +57,35 @@ def _mul_table(dim: int, order: int):
     return (np.asarray(ia), np.asarray(ib), np.asarray(iout))
 
 
+def cauchy_product(a: np.ndarray, b: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Truncated product of coefficient arrays over their last axis.  The
+    leading axes broadcast, so one call multiplies a whole stack of jets."""
+    ia, ib, iout = _mul_table(dim, order)
+    prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
+    out = np.zeros(prod.shape[:-1] + (n_coeffs(dim, order),), dtype=prod.dtype)
+    np.add.at(out, (..., iout), prod)
+    return out
+
+
 @lru_cache(maxsize=None)
-def _deriv_table(dim: int, order: int, i: int):
-    """Maps an order-`order` jet to the jet of its i-th partial (order-1)."""
+def _deriv_table(dim: int, order: int, axes):
+    """Maps an order-`order` jet to the jets of its partials d_i, i in axes
+    (order-1), stacked: src and fac have one row per axis."""
     if order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
     idx = index_lookup(dim, order)
     tgt = multi_indices(dim, order - 1)
-    src = np.asarray([idx[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in tgt])
-    fac = np.asarray([a[i] + 1 for a in tgt], dtype=float)
+    src = np.asarray([[idx[a[:i] + (a[i] + 1,) + a[i + 1:]] for a in tgt] for i in axes])
+    fac = np.asarray([[a[i] + 1 for a in tgt] for i in axes], dtype=float)
     return src, fac
+
+
+def partials(c: np.ndarray, dim: int, order: int, axes, K: int) -> np.ndarray:
+    """Partials d_i, i in axes, of order-`order` coefficient arrays (last
+    axis), truncated to order K: shape c.shape[:-1] + (len(axes), n_coeffs)."""
+    src, fac = _deriv_table(dim, order, axes)
+    m = n_coeffs(dim, K)
+    return fac[:, :m] * c.take(src[:, :m], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +121,8 @@ class Jet:
 
     def deriv(self, i: int) -> "Jet":
         """Jet of the i-th partial derivative, one order lower."""
-        src, fac = _deriv_table(self.dim, self.order, i)
-        return Jet(self.dim, self.order - 1, self.base, fac * self.c[src])
+        src, fac = _deriv_table(self.dim, self.order, (i,))
+        return Jet(self.dim, self.order - 1, self.base, fac[0] * self.c[src[0]])
 
     def _check(self, other: "Jet"):
         if (self.dim, self.order) != (other.dim, other.order) or self.base != other.base:
@@ -132,10 +151,8 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.dim, self.order, self.base, self.c * other)
         self._check(other)
-        ia, ib, iout = _mul_table(self.dim, self.order)
-        out = np.zeros_like(self.c)
-        np.add.at(out, iout, self.c[ia] * other.c[ib])
-        return Jet(self.dim, self.order, self.base, out)
+        return Jet(self.dim, self.order, self.base,
+                   cauchy_product(self.c, other.c, self.dim, self.order))
 
     __rmul__ = __mul__
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import smoothfn as sf
 from .formal import FormalSeries
-from .jets import Jet, jet_constant, multi_indices, n_coeffs
+from .jets import Jet, cauchy_product, jet_constant, multi_indices, n_coeffs, partials
 from .poisson import VerticalMultivector, jacobi_defect, restrict_to_fiber
 from .smoothfn import SmoothMap, eval_jet, eval_jets, evaluate
 
@@ -154,67 +154,42 @@ def _moyal_star_jets(Theta, F, G, axes, dim, base, out_orders):
 C2_WEIGHTS = (-1.0 / 8.0, -1.0 / 12.0)
 
 
-def _theta_matrix_jets(theta: VerticalMultivector, x, order: int):
-    """Full antisymmetric matrix of component jets at x (None where zero),
-    from one walk of all the components."""
-    n = theta.base_dim
-    m = [[None] * n for _ in range(n)]
-    comps = theta.components
+def _theta_matrix(theta: VerticalMultivector, x, order: int) -> np.ndarray:
+    """Antisymmetric [n, n, c] array of the component jet coefficients at x
+    (zeros where a component is absent), from one walk of all the components."""
+    n, comps = theta.base_dim, theta.components
+    m = np.zeros((n, n, n_coeffs(theta.ambient_dim, order)), dtype=complex)
     for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order)):
-        m[i][j], m[j][i] = jet, -jet
+        m[i, j], m[j, i] = jet.c, -jet.c
     return m
 
 
-def _c1_jet(theta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
-    n = len(theta_jets)
-    out = jet_constant(0.0, fjet.base, fjet.dim, K)
-    for i in range(n):
-        for j in range(n):
-            th = theta_jets[i][j]
-            if th is None:
-                continue
-            out = out + th.truncate(K) * fjet.deriv(off + i).truncate(K) * gjet.deriv(off + j).truncate(K)
-    return out * 0.5j
+def _c1_jet(th: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+    """C_1(f, g) = (i/2) th^{ij} d_i f d_j g as a jet of order K; th is the
+    [n, n, c] theta array of order K or above."""
+    dim, axes = fjet.dim, range(off, off + len(th))
+    df = partials(fjet.c, dim, fjet.order, axes, K)
+    dg = partials(gjet.c, dim, gjet.order, axes, K)
+    th_dg = cauchy_product(th[..., :df.shape[-1]], dg[None], dim, K).sum(1)
+    return Jet(dim, K, fjet.base, 0.5j * cauchy_product(df, th_dg, dim, K).sum(0))
 
 
-def _c2_jet(theta_jets, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
-    """C_2(f, g) = C2_WEIGHTS[0] T_a + C2_WEIGHTS[1] T_b as a jet of order K,
-    with
-      T_a = th^{ij} th^{kl} d_i d_k f  d_j d_l g
-      T_b = (d_l th^{ij}) th^{kl} (d_i d_k f d_j g - d_i f d_j d_k g).
-    The theta jets must have order above K.
-    """
-    n = len(theta_jets)
-    Ta = Tb = jet_constant(0.0, fjet.base, fjet.dim, K)
-    dtheta_jets = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if theta_jets[i][j] is not None:
-                row = [theta_jets[i][j].deriv(off + l).truncate(K) for l in range(n)]
-                dtheta_jets[i][j], dtheta_jets[j][i] = row, [-d for d in row]
-    theta_jets = [[None if e is None else e.truncate(K) for e in row] for row in theta_jets]
-
-    df = [fjet.deriv(off + i) for i in range(n)]
-    dg = [gjet.deriv(off + i) for i in range(n)]
-    d2f = [[df[i].deriv(off + k).truncate(K) for k in range(n)] for i in range(n)]
-    d2g = [[dg[i].deriv(off + k).truncate(K) for k in range(n)] for i in range(n)]
-    df = [j.truncate(K) for j in df]
-    dg = [j.truncate(K) for j in dg]
-
-    for i in range(n):
-        for j in range(n):
-            th_ij = theta_jets[i][j]
-            if th_ij is None:
-                continue
-            dth_ij = dtheta_jets[i][j]
-            for k in range(n):
-                for l in range(n):
-                    th_kl = theta_jets[k][l]
-                    if th_kl is None:
-                        continue
-                    Ta = Ta + th_ij * th_kl * d2f[i][k] * d2g[j][l]
-                    Tb = Tb + dth_ij[l] * th_kl * (d2f[i][k] * dg[j] - df[i] * d2g[j][k])
-    return Ta * C2_WEIGHTS[0] + Tb * C2_WEIGHTS[1]
+def _c2_jet(th: np.ndarray, dth: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+    """C_2(f, g) = C2_WEIGHTS[0] T_a + C2_WEIGHTS[1] T_b as a jet of order K, in
+    the factored form given in `general_vertical`.  th [n, n, c] and dth
+    [n, n, n, c] (last index l) are theta arrays of order K or above."""
+    dim, axes = fjet.dim, range(off, off + len(th))
+    mul = partial(cauchy_product, dim=dim, order=K)
+    df = partials(fjet.c, dim, fjet.order, axes, K)
+    dg = partials(gjet.c, dim, gjet.order, axes, K)
+    d2f = partials(partials(fjet.c, dim, fjet.order, axes, K + 1), dim, K + 1, axes, K)
+    d2g = partials(partials(gjet.c, dim, gjet.order, axes, K + 1), dim, K + 1, axes, K)
+    th, dth = th[..., :df.shape[-1]], dth[..., :df.shape[-1]]
+    F = mul(d2f[:, :, None], th[None]).sum(1)
+    G = mul(d2g[:, :, None], th[None]).sum(1)
+    Ta = mul(th, mul(F[:, None], d2g[None]).sum(2)).sum((0, 1))
+    Tb = mul(dth, mul(dg[None, :, None], F[:, None]) - mul(df[:, None, None], G[None]))
+    return Jet(dim, K, fjet.base, C2_WEIGHTS[0] * Ta + C2_WEIGHTS[1] * Tb.sum((0, 1, 2)))
 
 
 def _vertical_star_jets(theta, F, G, x, out_orders):
@@ -223,25 +198,24 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
         raise ValueError("general vertical star products support order <= 2 only")
     off = theta.fiber_offset
     base, dim = F[0].base, F[0].dim
-    max_ord = max(out_orders)
-    theta_jets = _theta_matrix_jets(theta, x, max_ord + 1)
+    # theta enters C_1 at the output order K and C_2 (from t = 2) at K + 1
+    th_order = max((K + (t == 2) for t, K in enumerate(out_orders) if t > 0), default=0)
+    th = _theta_matrix(theta, x, th_order) if N > 0 else None
+    dth = partials(th, dim, th_order, range(off, off + len(th)), th_order - 1) if N == 2 else None
     out = [jet_constant(0.0, base, dim, K) for K in out_orders]
     for a in range(len(F)):
-        for b in range(len(G)):
-            if a + b > N:
-                continue
+        for b in range(min(len(G), N - a + 1)):
             for r in range(N - a - b + 1):
                 t = a + b + r
                 K = out_orders[t]
                 if K + r > min(F[a].order, G[b].order):
                     raise ValueError("input jets of insufficient order")
-                fj, gj = F[a], G[b]
                 if r == 0:
-                    term = fj.truncate(K) * gj.truncate(K)
+                    term = F[a].truncate(K) * G[b].truncate(K)
                 elif r == 1:
-                    term = _c1_jet(theta_jets, fj.truncate(K + 1), gj.truncate(K + 1), off, K)
+                    term = _c1_jet(th, F[a], G[b], off, K)
                 else:
-                    term = _c2_jet(theta_jets, fj.truncate(K + 2), gj.truncate(K + 2), off, K)
+                    term = _c2_jet(th, dth, F[a], G[b], off, K)
                 out[t] = out[t] + term
     return out
 
@@ -338,17 +312,23 @@ def general_vertical(theta: VerticalMultivector, lambda_order: int,
     """Star product of order <= 2 for a vertical Poisson bivector theta,
 
       f * g = f g + lam C_1(f, g) + lam^2 C_2(f, g),
-      C_1 = (i/2) th^{ij} d_i f d_j g,   C_2 = -(1/8) T_a - (1/12) T_b
+      C_1 = (i/2) th^{ij} d_i f d_j g,   C_2 = -(1/8) T_a - (1/12) T_b,
+      T_a = th^{ij} th^{kl} d_i d_k f  d_j d_l g,
+      T_b = (d_l th^{ij}) th^{kl} (d_i d_k f d_j g - d_i f d_j d_k g).
 
-    (T_a, T_b as in `_c2_jet`).  These are the order-2 terms of Kontsevich's
-    formula (arXiv:q-alg/9709040) with hbar = i lam and alpha = theta / 2:
-    hbar^2/2 alpha alpha gives -1/8 T_a and hbar^2/3 alpha d alpha gives
-    -1/12 T_b.  Kontsevich's third term, -hbar^2/6 (d_l alpha^{ij})
-    (d_j alpha^{kl}) d_i f d_k g = +(1/24) (d_l th^{ij}) (d_j th^{kl}) d_i f d_k g,
-    is left out: its coefficient matrix is symmetric, so it is the Hochschild
-    coboundary of a second-order differential operator and associativity
-    cannot see it.  Dropping it is a gauge choice (a different but equivalent
-    product); for constant theta both choices reduce to Weyl-Moyal.
+    These are the order-2 terms of Kontsevich's formula (arXiv:q-alg/9709040)
+    with hbar = i lam and alpha = theta / 2: hbar^2/2 alpha alpha gives
+    -1/8 T_a and hbar^2/3 alpha d alpha gives -1/12 T_b.  Kontsevich's third
+    term, -hbar^2/6 (d_l alpha^{ij}) (d_j alpha^{kl}) d_i f d_k g
+    = +(1/24) (d_l th^{ij}) (d_j th^{kl}) d_i f d_k g, is left out: its
+    coefficient matrix is symmetric, so it is the Hochschild coboundary of a
+    second-order differential operator and associativity cannot see it.
+    Dropping it is a gauge choice (a different but equivalent product); for
+    constant theta both choices reduce to Weyl-Moyal.
+
+    T_a and T_b are contracted in O(n^3), not O(n^4), through
+    F_il = d_i d_k f th^{kl} and G_jl = d_j d_k g th^{kl}, formed once per call:
+      T_a = th^{ij} F_il d_j d_l g,   T_b = (d_l th^{ij}) (d_j g F_il - d_i f G_jl).
 
     With jacobi_samples, theta is first checked to be Poisson there, and a
     ValueError is raised when the Jacobi defect reaches 1e-9.

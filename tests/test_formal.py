@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertstar.formal import (
+    ZERO_TOL,
     FormalSeries,
     is_formally_positive,
     series_constant,
@@ -77,7 +78,11 @@ def test_positivity_respects_ring_operations(a, b):
         assert is_formally_positive(a * b) in ("positive", "zero")
         lead_a = min(i for i, c in enumerate(a.coeffs) if abs(c) > 1e-9)
         lead_b = min(i for i, c in enumerate(b.coeffs) if abs(c) > 1e-9)
-        if lead_a + lead_b <= a.order:
+        # the product's coefficient at lead_a + lead_b is, up to terms from
+        # coefficients below ZERO_TOL, the product of the leading ones; that
+        # is positive but may itself fall to ZERO_TOL or below
+        lead = (a.coeffs[lead_a] * b.coeffs[lead_b]).real
+        if lead_a + lead_b <= a.order and lead > ZERO_TOL:
             assert is_formally_positive(a * b) == "positive"
 
 

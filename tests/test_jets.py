@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vertstar.jets import (
     Jet,
+    cauchy_product,
     jet_compose_univariate,
     jet_constant,
     jet_laplacian,
@@ -152,3 +153,20 @@ def test_shape_mismatch_raises():
         a + b
     with pytest.raises(ValueError):
         a.partial((3,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.sampled_from([(), (3,), (2, 3)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_cauchy_product_matches_jet_mul(dim, order, lead, seed):
+    # b carries one leading axis less than a, so the product also broadcasts
+    rng = np.random.default_rng(seed)
+    m = n_coeffs(dim, order)
+    a = rng.uniform(-1, 1, lead + (m,)) + 1j * rng.uniform(-1, 1, lead + (m,))
+    b = rng.uniform(-1, 1, lead[1:] + (m,)) + 1j * rng.uniform(-1, 1, lead[1:] + (m,))
+    out = cauchy_product(a, b, dim, order)
+    assert out.shape == lead + (m,)
+    base = (0.0,) * dim
+    for idx in np.ndindex(*lead):
+        ref = Jet(dim, order, base, a[idx]) * Jet(dim, order, base, b[idx[1:]])
+        assert np.array_equal(out[idx], ref.c)

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vertstar import poisson, smoothfn as sf
@@ -249,6 +249,8 @@ def theta_and_bracket(name):
 @given(st.sampled_from(sorted(JACOBI_CASES)),
        st.lists(st.floats(-1.3, 1.3), min_size=8, max_size=8),
        st.one_of(st.none(), st.floats(0.0, 1.3)))
+# |v|^2 lands one ulp past the plateau radius squared, where sqrt(|v|^2) = r
+@example(name="ball_compact", coords=[0, 0, 0, 0, 0, 0, 1.0, 1.125], radius=1.0)
 def test_jacobi_defect_matches_schouten_reference(name, coords, radius):
     # reference: every component of the Schouten bracket, evaluated alone;
     # a radius rescales the fiber part onto that sphere, to hit the annulus

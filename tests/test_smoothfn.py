@@ -148,6 +148,16 @@ def test_ball_ramp_vanishes_off_annulus():
     assert mid != 0.0
 
 
+@pytest.mark.parametrize("elem, inner", [(sf.BumpSqElem, 1.0), (sf.BallRampElem, 0.0)])
+def test_radial_profiles_at_annulus_edges(elem, inner):
+    # one ulp past r^2 the square root is r, and one ulp short of (r + eps)^2
+    # it is r + eps, so the ramp argument is exactly 0 or 1 inside the annulus
+    e = elem(1.0, 0.25)
+    for u, want in ((np.nextafter(1.0, np.inf), inner), (np.nextafter(1.5625, 0.0), 0.0)):
+        assert e.value(u) == want
+        assert np.array_equal(e.taylor(u, 3), [want, 0.0, 0.0, 0.0])
+
+
 def test_eval_jet_wrong_dim_raises():
     f = sf.coordinate(0, 2)
     with pytest.raises(ValueError):
