@@ -77,7 +77,7 @@ def _smoothstep_jet(s_jet: Jet) -> Jet:
 def _ramp_taylor(s0: float, order: int) -> np.ndarray:
     """Taylor coefficients of 1 - h(s) at s0.  h is flat at both glue points,
     so they are exactly (1, 0, ...) for s0 <= 0 and 0 for s0 >= 1."""
-    if not 0.0 < s0 < 1.0:
+    if s0 <= 0.0 or s0 >= 1.0:
         return np.array([float(s0 <= 0.0)] + [0.0] * order, dtype=complex)
     return (1.0 - _smoothstep_jet(_u_jet(s0, order))).c
 

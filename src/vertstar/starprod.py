@@ -174,17 +174,18 @@ def _c1_jet(th: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
     return Jet(dim, K, fjet.base, 0.5j * cauchy_product(df, th_dg, dim, K).sum(0))
 
 
-def _c2_jet(th: np.ndarray, dth: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+def _c2_jet(th: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
     """C_2(f, g) = C2_WEIGHTS[0] T_a + C2_WEIGHTS[1] T_b as a jet of order K, in
-    the factored form given in `general_vertical`.  th [n, n, c] and dth
-    [n, n, n, c] (last index l) are theta arrays of order K or above."""
+    the factored form given in `general_vertical`; th is the [n, n, c] theta
+    array of order K + 1 or above."""
     dim, axes = fjet.dim, range(off, off + len(th))
     mul = partial(cauchy_product, dim=dim, order=K)
     df = partials(fjet.c, dim, fjet.order, axes, K)
     dg = partials(gjet.c, dim, gjet.order, axes, K)
     d2f = partials(partials(fjet.c, dim, fjet.order, axes, K + 1), dim, K + 1, axes, K)
     d2g = partials(partials(gjet.c, dim, gjet.order, axes, K + 1), dim, K + 1, axes, K)
-    th, dth = th[..., :df.shape[-1]], dth[..., :df.shape[-1]]
+    dth = partials(th[..., :n_coeffs(dim, K + 1)], dim, K + 1, axes, K)  # last index l
+    th = th[..., :df.shape[-1]]
     F = mul(d2f[:, :, None], th[None]).sum(1)
     G = mul(d2g[:, :, None], th[None]).sum(1)
     Ta = mul(th, mul(F[:, None], d2g[None]).sum(2)).sum((0, 1))
@@ -201,7 +202,6 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
     # theta enters C_1 at the output order K and C_2 (from t = 2) at K + 1
     th_order = max((K + (t == 2) for t, K in enumerate(out_orders) if t > 0), default=0)
     th = _theta_matrix(theta, x, th_order) if N > 0 else None
-    dth = partials(th, dim, th_order, range(off, off + len(th)), th_order - 1) if N == 2 else None
     out = [jet_constant(0.0, base, dim, K) for K in out_orders]
     for a in range(len(F)):
         for b in range(min(len(G), N - a + 1)):
@@ -215,7 +215,7 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
                 elif r == 1:
                     term = _c1_jet(th, F[a], G[b], off, K)
                 else:
-                    term = _c2_jet(th, dth, F[a], G[b], off, K)
+                    term = _c2_jet(th, F[a], G[b], off, K)
                 out[t] = out[t] + term
     return out
 

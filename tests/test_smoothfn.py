@@ -158,6 +158,15 @@ def test_radial_profiles_at_annulus_edges(elem, inner):
         assert np.array_equal(e.taylor(u, 3), [want, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("elem", [sf.BumpElem, sf.BumpSqElem, sf.BallRampElem])
+def test_radial_profiles_propagate_nan(elem):
+    # a NaN argument is neither inside nor outside the annulus
+    e = elem(1.0, 0.25)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(e.value(np.nan))
+        assert np.isnan(e.taylor(np.nan, 2)).all()
+
+
 def test_eval_jet_wrong_dim_raises():
     f = sf.coordinate(0, 2)
     with pytest.raises(ValueError):
