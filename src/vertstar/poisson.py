@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from . import smoothfn as sf
-from .smoothfn import SmoothMap, eval_jet, eval_jets, evaluate
+from .smoothfn import SmoothMap, eval_jet, eval_jets
 
 
 @dataclass(eq=False)
@@ -61,12 +61,16 @@ class VerticalMultivector:
         """Dense antisymmetric component array evaluated at a point (degree 2)."""
         n = self.base_dim
         out = np.zeros((n, n), dtype=complex)
-        memo: dict = {}
-        for (i, j), f in self.components.items():
-            v = evaluate(f, x, memo)
+        for (i, j), v in zip(self.components, _values(self, x)):
             out[i, j] = v
             out[j, i] = -v
         return out
+
+
+def _values(X: VerticalMultivector, x) -> list:
+    """The component values at x, in the order of X.components, from one
+    order-0 jet walk."""
+    return [j.value for j in eval_jets(list(X.components.values()), x, 0)]
 
 
 def _perm_sign(key) -> int:
@@ -228,8 +232,7 @@ def hkr(X: VerticalMultivector):
             raise ValueError(f"expected {k} functions")
         grads = [eval_jet(f, x, 1) for f in fns]
         total = 0.0
-        for key, comp in X.components.items():
-            cval = evaluate(comp, x)
+        for key, cval in zip(X.components, _values(X, x)):
             for perm in permutations(range(k)):
                 sign = _perm_sign([key[q] for q in perm])
                 prod = cval * sign
@@ -247,8 +250,7 @@ def poisson_bracket(theta: VerticalMultivector, f, g, x):
     jf = eval_jet(f, x, 1)
     jg = eval_jet(g, x, 1)
     total = 0.0
-    for (i, j), comp in theta.components.items():
-        c = evaluate(comp, x)
+    for (i, j), c in zip(theta.components, _values(theta, x)):
         total += c * (jf.deriv(off + i).value * jg.deriv(off + j).value
                       - jf.deriv(off + j).value * jg.deriv(off + i).value)
     return total
@@ -330,8 +332,9 @@ def ball_frame_fields(n: int, r: float, eps: float) -> list:
     """
     dim = 2 * n
     axes = tuple(range(n, dim))
-    B = sf.radial_bump(dim, axes, r, eps)
-    M = sf.ball_ramp(dim, axes, r, eps)
+    q = sf.norm_squared(dim, axes)
+    B = sf.radial_profile(sf.BumpSqElem(r, eps), q, axes)
+    M = sf.radial_profile(sf.BallRampElem(r, eps), q, axes)
     vs = [sf.coordinate(n + i, dim) for i in range(n)]
     fields = []
     for a in range(n):
@@ -416,10 +419,8 @@ def check_flip_even(theta: VerticalMultivector, samples) -> float:
     for x in samples:
         y = np.array(x, dtype=float)
         y[off:] = -y[off:]
-        memo_x: dict = {}
-        memo_y: dict = {}
-        for f in theta.components.values():
-            worst = max(worst, abs(evaluate(f, x, memo_x) - evaluate(f, y, memo_y)))
+        for a, b in zip(_values(theta, x), _values(theta, y)):
+            worst = max(worst, abs(a - b))
     return worst
 
 
@@ -433,9 +434,8 @@ def check_support(theta: VerticalMultivector, samples) -> float:
         v = np.asarray(x, dtype=float)[off:]
         if np.linalg.norm(v) < theta.support_radius:
             continue
-        memo: dict = {}
-        for f in theta.components.values():
-            worst = max(worst, abs(evaluate(f, x, memo)))
+        for c in _values(theta, x):
+            worst = max(worst, abs(c))
     return worst
 
 

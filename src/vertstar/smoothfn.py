@@ -26,11 +26,6 @@ from .jets import (Jet, jet_compose_univariate, jet_constant, jet_variable,
 class ExpElem:
     """exp(t)."""
 
-    name = "exp"
-
-    def value(self, t):
-        return np.exp(t)
-
     def taylor(self, t, order):
         v = np.exp(t)
         return np.array([v / math.factorial(k) for k in range(order + 1)], dtype=complex)
@@ -82,24 +77,18 @@ def _ramp_taylor(s0: float, order: int) -> np.ndarray:
     return (1.0 - _smoothstep_jet(_u_jet(s0, order))).c
 
 
-class BumpElem:
-    """Even bump in t: 1 on [-r, r], smooth monotone ramp, 0 beyond r + eps."""
-
-    name = "bump"
+class _Profile:
+    """A flat profile with plateau radius r and ramp width eps."""
 
     def __init__(self, r: float, eps: float):
         if r <= 0 or eps <= 0:
-            raise ValueError("bump requires r > 0 and eps > 0")
+            raise ValueError("profile requires r > 0 and eps > 0")
         self.r = r
         self.eps = eps
 
-    def value(self, t):
-        a = abs(float(np.real(t)))
-        if a <= self.r:
-            return 1.0
-        if a >= self.r + self.eps:
-            return 0.0
-        return _ramp_taylor((a - self.r) / self.eps, 0)[0].real
+
+class BumpElem(_Profile):
+    """Even bump in t: 1 on [-r, r], smooth monotone ramp, 0 beyond r + eps."""
 
     def taylor(self, t, order):
         out = np.zeros(order + 1, dtype=complex)
@@ -116,24 +105,8 @@ class BumpElem:
         return np.array([ramp[k] * scale ** k for k in range(order + 1)], dtype=complex)
 
 
-class BumpSqElem:
+class BumpSqElem(_Profile):
     """Radial bump profile in u = |v|^2: value chi(sqrt(u)) of an even bump."""
-
-    name = "bump_sq"
-
-    def __init__(self, r: float, eps: float):
-        if r <= 0 or eps <= 0:
-            raise ValueError("bump requires r > 0 and eps > 0")
-        self.r = r
-        self.eps = eps
-
-    def value(self, u):
-        u = float(np.real(u))
-        if u <= self.r ** 2:
-            return 1.0
-        if u >= (self.r + self.eps) ** 2:
-            return 0.0
-        return _ramp_taylor((math.sqrt(u) - self.r) / self.eps, 0)[0].real
 
     def taylor(self, u, order):
         out = np.zeros(order + 1, dtype=complex)
@@ -147,7 +120,7 @@ class BumpSqElem:
         return jet_compose_univariate(_ramp_taylor(s_jet.value.real, order), s_jet).c
 
 
-class BallRampElem:
+class BallRampElem(_Profile):
     """Radial correction profile m(u) of a ball-supported pushforward frame.
 
     The frame fields are X_alpha(w) = chi(s) e_alpha + m(s^2) (w . e_alpha) w
@@ -158,14 +131,8 @@ class BallRampElem:
     m vanishes flatly at both ends of the annulus r < sqrt(u) < r + eps.
     """
 
-    name = "ball_ramp"
-
     # below this plateau value the exact profile is far under any tolerance
     _TINY = 1e-60
-
-    def __init__(self, r: float, eps: float):
-        self.r = r
-        self.eps = eps
 
     def _jet(self, u: float, order: int) -> Jet:
         s_jet = _sqrt_jet(_u_jet(u, order + 1))
@@ -182,12 +149,6 @@ class BallRampElem:
         denom = chi - (_u_jet(u, order) * 2.0) * dchi_du
         inv_sigma_prime = chi * chi * _recip_jet(denom)
         return (inv_sigma_prime - chi) * _recip_jet(_u_jet(u, order))
-
-    def value(self, u):
-        u = float(np.real(u))
-        if u <= self.r ** 2 or u >= (self.r + self.eps) ** 2:
-            return 0.0
-        return self._jet(u, 0).value.real
 
     def taylor(self, u, order):
         u = float(np.real(u))
@@ -322,26 +283,31 @@ def bump_of(f: SmoothMap, r: float, eps: float) -> SmoothMap:
     return SmoothMap(f.dim, "uni", (f,), payload=BumpElem(r, eps), support=sup)
 
 
+def norm_squared(dim: int, axes) -> SmoothMap:
+    """x -> the squared Euclidean norm of the listed coordinates."""
+    A = np.zeros((dim, dim))
+    for i in axes:
+        A[i, i] = 1.0
+    return quadratic_form(A)
+
+
+def radial_profile(elem: _Profile, q: SmoothMap, axes) -> SmoothMap:
+    """elem(q) for q = norm_squared(dim, axes) and a profile element in
+    u = |v|^2 (BumpSqElem or BallRampElem), supported in radius r + eps over
+    the axes.  Profiles built on one q node share its evaluation in a walk."""
+    return SmoothMap(q.dim, "uni", (q,), payload=elem, support=(tuple(axes), elem.r + elem.eps))
+
+
 def radial_bump(dim: int, axes, r: float, eps: float) -> SmoothMap:
     """Bump in the Euclidean norm over the listed axes: 1 inside radius r,
     0 outside radius r + eps."""
     axes = tuple(axes)
-    A = np.zeros((dim, dim))
-    for i in axes:
-        A[i, i] = 1.0
-    return SmoothMap(
-        dim, "uni", (quadratic_form(A),), payload=BumpSqElem(r, eps), support=(axes, r + eps)
-    )
+    return radial_profile(BumpSqElem(r, eps), norm_squared(dim, axes), axes)
 
 
 def ball_ramp(dim: int, axes, r: float, eps: float) -> SmoothMap:
     axes = tuple(axes)
-    A = np.zeros((dim, dim))
-    for i in axes:
-        A[i, i] = 1.0
-    return SmoothMap(
-        dim, "uni", (quadratic_form(A),), payload=BallRampElem(r, eps), support=(axes, r + eps)
-    )
+    return radial_profile(BallRampElem(r, eps), norm_squared(dim, axes), axes)
 
 
 def derivative(f: SmoothMap, i: int) -> SmoothMap:
@@ -368,46 +334,9 @@ def conjugate(f: SmoothMap) -> SmoothMap:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(f: SmoothMap, x, _memo=None):
-    """Pointwise value of f at x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != f.dim:
-        raise ValueError("point dimension mismatch")
-    if _memo is None:
-        _memo = {}
-    key = id(f)
-    if key in _memo:
-        return _memo[key]
-    k = f.kind
-    if k == "coord":
-        val = x[f.payload]
-    elif k == "const":
-        val = f.payload
-    elif k == "sum":
-        val = sum(evaluate(c, x, _memo) for c in f.children)
-    elif k == "prod":
-        val = evaluate(f.children[0], x, _memo) * evaluate(f.children[1], x, _memo)
-    elif k == "scale":
-        val = f.payload * evaluate(f.children[0], x, _memo)
-    elif k == "power":
-        val = evaluate(f.children[0], x, _memo) ** f.payload
-    elif k == "quad":
-        val = x @ f.payload @ x
-    elif k == "poly":
-        val = 0.0
-        for m, c in f.payload.items():
-            val += c * np.prod([x[i] ** e for i, e in enumerate(m) if e], initial=1.0)
-    elif k == "affine":
-        A, b = f.payload
-        val = evaluate(f.children[0], A @ x + b)
-    elif k == "uni":
-        val = f.payload.value(evaluate(f.children[0], x, _memo))
-    elif k == "deriv":
-        val = eval_jet(f, x, 0).value
-    else:
-        raise ValueError(f"unknown node kind {k!r}")
-    _memo[key] = val
-    return val
+def evaluate(f: SmoothMap, x):
+    """Pointwise value of f at x: the value of its order-0 jet."""
+    return eval_jets([f], x, 0)[0].value
 
 
 def eval_jet(f: SmoothMap, x, order: int) -> Jet:
@@ -449,13 +378,21 @@ class _Env:
         return self.derived[key]
 
     def raised(self) -> "_Env":
-        """The coordinates one order higher, for a derivative node."""
-        if not self.plain:
-            raise NotImplementedError("derivative nodes require direct coordinates")
+        """Plain coordinates one order higher at the point these coordinates
+        take, for a derivative node."""
         if "deriv" not in self.derived:
-            ref = self.coords[0]
-            self.derived["deriv"] = _Env(ref.base, ref.order + 1)
+            x = tuple(float(c.value.real) for c in self.coords)
+            self.derived["deriv"] = _Env(x, self.coords[0].order + 1)
         return self.derived["deriv"]
+
+    def substitute(self, j: Jet) -> Jet:
+        """A jet in plain coordinates at the point of `raised`, as a jet in
+        the variables of this environment: its Taylor polynomial at the
+        coordinate jets shifted to that point."""
+        if self.plain:
+            return j
+        coeffs = dict(zip(multi_indices(j.dim, j.order), j.c))
+        return _poly_at(coeffs, [c - c.value for c in self.coords])
 
 
 def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
@@ -498,7 +435,7 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
         inner = _eval_jet(f.children[0], env)
         out = jet_compose_univariate(f.payload.taylor(inner.value, inner.order), inner)
     elif k == "deriv":
-        out = _eval_jet(f.children[0], env.raised()).deriv(f.payload)
+        out = env.substitute(_eval_jet(f.children[0], env.raised()).deriv(f.payload))
     else:
         raise ValueError(f"unknown node kind {k!r}")
     memo[id(f)] = out
@@ -514,17 +451,10 @@ def _index_array(dim: int, degree: int) -> np.ndarray:
 def _poly_jet(coeffs: dict, env: _Env) -> Jet:
     """Jet of a polynomial: in closed form when the environment is plain
     coordinates, by jet arithmetic otherwise."""
+    if not env.plain:
+        return _poly_at(coeffs, env.coords)
     ref = env.coords[0]
     dim, order = ref.dim, ref.order
-    if not env.plain:
-        out = jet_constant(0.0, ref.base, dim, order)
-        for m, cm in coeffs.items():
-            term = jet_constant(cm, ref.base, dim, order)
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    term = term * env.coords[i]
-            out = out + term
-        return out
     # x^m shifted to x0 has the coefficient prod_i comb(m_i, alpha_i)
     # x0_i^(m_i - alpha_i) at alpha <= m, and 0 at every other alpha
     c = np.zeros(n_coeffs(dim, order), dtype=complex)
@@ -537,3 +467,16 @@ def _poly_jet(coeffs: dict, env: _Env) -> Jet:
             w = w * factor[alpha[:, i]]
         c[:len(alpha)] += w
     return Jet(dim, order, ref.base, c)
+
+
+def _poly_at(coeffs: dict, coords) -> Jet:
+    """Jet of sum_m c_m prod_i coords[i]^(m_i) by jet arithmetic."""
+    ref = coords[0]
+    out = jet_constant(0.0, ref.base, ref.dim, ref.order)
+    for m, cm in coeffs.items():
+        term = jet_constant(cm, ref.base, ref.dim, ref.order)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = term * coords[i]
+        out = out + term
+    return out

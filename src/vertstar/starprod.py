@@ -248,12 +248,11 @@ class StarProduct:
             return self.Theta
         p = np.asarray(x, dtype=float)[: self.n]
         out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                entry = self.Theta_fn[i][j]
-                if entry is None:
-                    continue
-                out[i, j] = np.real(evaluate(entry, p))
+        ij = [(i, j) for i in range(self.n) for j in range(self.n)
+              if self.Theta_fn[i][j] is not None]
+        jets = eval_jets([self.Theta_fn[i][j] for i, j in ij], p, 0)
+        for (i, j), jet in zip(ij, jets):
+            out[i, j] = jet.value.real
         return out
 
     def star_jets(self, F, G, x, out_orders):

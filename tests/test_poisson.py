@@ -28,7 +28,7 @@ from vertstar.poisson import (
     schouten,
     wedge,
 )
-from vertstar.smoothfn import evaluate
+from vertstar.smoothfn import eval_jets, evaluate
 
 STD2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 STD4 = np.zeros((4, 4))
@@ -299,3 +299,43 @@ def test_shared_memo_checks_match_per_component_evaluate():
               for f in th.components.values())
     assert ref > 0.1
     assert check_support(inner, samples) == ref
+
+
+def _quad_nodes(fns):
+    """The distinct |v|^2 nodes reachable from the maps."""
+    seen, stack, quads = set(), list(fns), 0
+    while stack:
+        f = stack.pop()
+        if id(f) not in seen:
+            seen.add(id(f))
+            quads += f.kind == "quad"
+            stack.extend(f.children)
+    return quads
+
+
+def test_ball_frame_shares_one_norm_squared(monkeypatch):
+    # the bump B and the ramp M of the ball frame are both radial in v, so
+    # they share one |v|^2 node; jets are bit-identical to those of a tree in
+    # which each profile builds its own
+    shared = sf.radial_profile
+
+    def separate(elem, q, axes):
+        return shared(elem, sf.norm_squared(q.dim, axes), axes)
+
+    def build(base):
+        th = build_ball_compact_theta(4, STD4, 1.0, 0.25)
+        return th if base is None else restrict_to_fiber(th, base)
+
+    base = np.array([0.1, -0.2, 0.3, 0.0])
+    for p in (None, base):
+        th = build(p)
+        fns = list(th.components.values())
+        with monkeypatch.context() as m:
+            m.setattr(sf, "radial_profile", separate)
+            ref = list(build(p).components.values())
+        assert _quad_nodes(fns) == 1 and _quad_nodes(ref) == 2
+        for radius in (0.5, 1.1, 1.2, 1.4):  # plateau, annulus, outside
+            v = np.array([0.7, 0.6, 0.5, 0.3]) * radius / np.linalg.norm([0.7, 0.6, 0.5, 0.3])
+            x = v if p is not None else np.concatenate([base, v])
+            for a, b in zip(eval_jets(fns, x, 2), eval_jets(ref, x, 2)):
+                assert a.c.tobytes() == b.c.tobytes()

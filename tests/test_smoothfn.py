@@ -1,14 +1,18 @@
 """SmoothMap expression trees: pointwise evaluation, jets through the tree,
 bump profiles, affine pullbacks, and support metadata."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vertstar import smoothfn as sf
 from vertstar.jets import multi_indices
-from vertstar.poisson import build_ball_compact_theta, restrict_to_fiber, standard_symplectic
+from vertstar.poisson import (build_ball_compact_theta, build_commuting_compact_theta,
+                              naive_scaled_theta, restrict_to_fiber, schouten,
+                              standard_symplectic)
 from vertstar.smoothfn import eval_jet, eval_jets, evaluate
 
 
@@ -154,7 +158,7 @@ def test_radial_profiles_at_annulus_edges(elem, inner):
     # it is r + eps, so the ramp argument is exactly 0 or 1 inside the annulus
     e = elem(1.0, 0.25)
     for u, want in ((np.nextafter(1.0, np.inf), inner), (np.nextafter(1.5625, 0.0), 0.0)):
-        assert e.value(u) == want
+        assert e.taylor(u, 0)[0] == want
         assert np.array_equal(e.taylor(u, 3), [want, 0.0, 0.0, 0.0])
 
 
@@ -163,8 +167,15 @@ def test_radial_profiles_propagate_nan(elem):
     # a NaN argument is neither inside nor outside the annulus
     e = elem(1.0, 0.25)
     with np.errstate(invalid="ignore"):
-        assert np.isnan(e.value(np.nan))
+        assert np.isnan(e.taylor(np.nan, 0)[0])
         assert np.isnan(e.taylor(np.nan, 2)).all()
+
+
+@pytest.mark.parametrize("elem", [sf.BumpElem, sf.BumpSqElem, sf.BallRampElem])
+@pytest.mark.parametrize("r, eps", [(1.0, 0.0), (1.0, -0.25), (0.0, 0.25), (-1.0, 0.25)])
+def test_profiles_reject_degenerate_radii(elem, r, eps):
+    with pytest.raises(ValueError):
+        elem(r, eps)
 
 
 def test_eval_jet_wrong_dim_raises():
@@ -220,8 +231,83 @@ def test_eval_jets_match_per_component_eval_jet():
         assert np.array_equal(jet.c, eval_jet(f, v, 2).c)
 
 
-def test_derivative_under_pullback_not_implemented():
-    df = sf.derivative(sf.radial_bump(2, (0, 1), 1.0, 0.5), 0)
-    g = sf.pullback_affine(df, np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.1, 0.0]))
-    with pytest.raises(NotImplementedError):
-        eval_jet(g, (0.4, 0.3), 1)
+def test_derivative_under_pullback():
+    # g(x) = (d_0 f)(A x + b), so grad g = A^T grad d_0 f and
+    # hess g = A^T (hess d_0 f) A, with d_0 f's jet taken in plain coordinates
+    f = sf.radial_bump(2, (0, 1), 1.0, 0.5)
+    A, b = np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([0.1, 0.0])
+    g = sf.pullback_affine(sf.derivative(f, 0), A, b)
+    x = np.array([0.4, 0.6])
+    y = A @ x + b
+    assert 1.0 < np.linalg.norm(y) < 1.5  # in the annulus
+    ref = eval_jet(sf.derivative(f, 0), y, 2)
+    grad = np.array([ref.partial((1, 0)), ref.partial((0, 1))])
+    hess = np.array([[ref.partial((2, 0)), ref.partial((1, 1))],
+                     [ref.partial((1, 1)), ref.partial((0, 2))]])
+    j = eval_jet(g, x, 2)
+    assert j.value == ref.value
+    got_grad = np.array([j.partial((1, 0)), j.partial((0, 1))])
+    got_hess = np.array([[j.partial((2, 0)), j.partial((1, 1))],
+                         [j.partial((1, 1)), j.partial((0, 2))]])
+    assert np.allclose(got_grad, A.T @ grad, rtol=1e-12, atol=1e-12)
+    assert np.allclose(got_hess, A.T @ hess @ A, rtol=1e-12, atol=1e-12)
+    # central differences of the values and of the order-1 jets
+    h = 1e-5
+    for i in range(2):
+        e = np.eye(2)[i] * h
+        fd = (evaluate(g, x + e) - evaluate(g, x - e)) / (2 * h)
+        assert abs(got_grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
+        jp, jm = eval_jet(g, x + e, 1), eval_jet(g, x - e, 1)
+        fd_row = [(jp.partial(a) - jm.partial(a)) / (2 * h) for a in ((1, 0), (0, 1))]
+        assert np.allclose(got_hess[i], fd_row, rtol=1e-5, atol=1e-5)
+
+
+THETA3 = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.3], [-0.5, -0.3, 0.0]])
+BASE = (0.3, -0.2, 0.1, 0.5)
+R, EPS = 1.0, 0.25
+THETAS = {
+    "ball2": lambda: build_ball_compact_theta(2, standard_symplectic(2), R, EPS),
+    "ball3": lambda: build_ball_compact_theta(3, THETA3, R, EPS),
+    "ball4": lambda: build_ball_compact_theta(4, standard_symplectic(4), R, EPS),
+    "commuting3": lambda: build_commuting_compact_theta(3, THETA3, R, EPS),
+    "naive3": lambda: naive_scaled_theta(3, THETA3, R, EPS),
+}
+
+
+@lru_cache(maxsize=None)
+def value_tree(name):
+    """(components, fiber offset) of a named tree family: the theta above,
+    restricted to a fiber ("/fiber"), the restricted Schouten bracket
+    ("/bracket"), or a derivative node under a rotation pullback."""
+    if name == "deriv-rotated":
+        rot = np.array([[0.6, -0.8], [0.8, 0.6]])
+        df = sf.derivative(sf.radial_bump(2, (0, 1), R, EPS), 1)
+        return [sf.pullback_affine(df, rot, np.zeros(2))], 0
+    base, _, part = name.partition("/")
+    th = THETAS[base]()
+    if part == "bracket":
+        th = schouten(th, th)
+    if part:
+        th = restrict_to_fiber(th, BASE[:th.base_dim])
+    return list(th.components.values()), th.fiber_offset
+
+
+VALUE_TREES = sorted(["deriv-rotated"] + [f"{t}{part}" for t in THETAS
+                                          for part in ("", "/fiber", "/bracket")
+                                          if not (t in ("ball2", "ball4") and part == "/bracket")])
+RADII = {"plateau": 0.6, "annulus": 1.1, "outside": 1.4, "at r": R, "at r + eps": R + EPS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(VALUE_TREES), st.sampled_from(sorted(RADII)), st.integers(1, 3),
+       st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_evaluate_is_the_value_of_every_jet(name, region, k, coords):
+    # the point value and the value of a jet of any order come out of one
+    # recursion, so they agree exactly, also on the annulus edges
+    fns, off = value_tree(name)
+    x = np.array(coords[:fns[0].dim])
+    v = x[off:]
+    assume(np.linalg.norm(v) > 1e-3)
+    v *= RADII[region] / np.linalg.norm(v)
+    for f, jet in zip(fns, eval_jets(fns, x, k)):
+        assert evaluate(f, x) == jet.value
