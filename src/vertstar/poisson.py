@@ -30,6 +30,7 @@ class VerticalMultivector:
     components: dict  # sorted fiber-index tuple -> SmoothMap
     support_radius: float | None = None
     fiber_offset: int = field(default=-1)  # -1: defaults to base_dim (TM picture)
+    plateau: tuple | None = None  # (radius, Theta): theta = Theta where |v| < radius
 
     def __post_init__(self):
         if self.fiber_offset < 0:
@@ -212,7 +213,7 @@ def restrict_to_fiber(X: VerticalMultivector, p) -> VerticalMultivector:
     A = np.vstack([np.zeros((n, n)), np.eye(n)])
     b = np.concatenate([p, np.zeros(n)])
     comps = {k: sf.pullback_affine(f, A, b) for k, f in X.components.items()}
-    return VerticalMultivector(n, X.degree, comps, X.support_radius, fiber_offset=0)
+    return VerticalMultivector(n, X.degree, comps, X.support_radius, 0, X.plateau)
 
 
 def hkr(X: VerticalMultivector):
@@ -267,7 +268,8 @@ def _check_antisymmetric(Theta):
         raise ValueError("Theta must be a square matrix")
     if not np.allclose(Theta, -Theta.T, atol=1e-14):
         raise ValueError("Theta must be antisymmetric")
-    return Theta
+    # the upper triangle, which the constructors read, made exactly antisymmetric
+    return np.triu(Theta, 1) - np.triu(Theta, 1).T
 
 
 def standard_symplectic(n: int) -> np.ndarray:
@@ -321,7 +323,7 @@ def build_commuting_compact_theta(n: int, Theta, r: float, eps: float) -> Vertic
             if Theta[a, b] != 0.0:
                 comps[(a, b)] = (chis[a] * chis[b]) * Theta[a, b]
     radius = math.sqrt(2.0) * (r + eps) if n == 2 else None
-    return VerticalMultivector(n, 2, comps, support_radius=radius)
+    return VerticalMultivector(n, 2, comps, support_radius=radius, plateau=(r, Theta))
 
 
 def ball_frame_fields(n: int, r: float, eps: float) -> list:
@@ -366,7 +368,7 @@ def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMul
                     acc = term if acc is None else acc + term
             if acc is not None:
                 comps[(i, j)] = acc
-    return VerticalMultivector(n, 2, comps, support_radius=r + eps)
+    return VerticalMultivector(n, 2, comps, support_radius=r + eps, plateau=(r, Theta))
 
 
 def naive_scaled_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivector:
@@ -425,17 +427,19 @@ def check_flip_even(theta: VerticalMultivector, samples) -> float:
 
 
 def check_support(theta: VerticalMultivector, samples) -> float:
-    """Max component magnitude at samples outside the declared radius."""
+    """Max component magnitude at samples outside the declared radius, with
+    the node-level support metadata stripped so that no node is pruned."""
     if theta.support_radius is None:
         raise ValueError("theta declares no support radius")
     off = theta.fiber_offset
+    fns = sf.strip_support(list(theta.components.values()))
     worst = 0.0
     for x in samples:
         v = np.asarray(x, dtype=float)[off:]
         if np.linalg.norm(v) < theta.support_radius:
             continue
-        for c in _values(theta, x):
-            worst = max(worst, abs(c))
+        for jet in eval_jets(fns, x, 0):
+            worst = max(worst, abs(jet.value))
     return worst
 
 

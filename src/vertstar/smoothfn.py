@@ -9,7 +9,7 @@ inferred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -344,6 +344,19 @@ def eval_jet(f: SmoothMap, x, order: int) -> Jet:
     return eval_jets([f], x, order)[0]
 
 
+def strip_support(fs) -> list:
+    """The maps rebuilt without support metadata, so a walk evaluates every
+    node; subtrees the maps share stay shared."""
+    done: dict = {}
+
+    def strip(f):
+        if id(f) not in done:
+            done[id(f)] = replace(f, children=tuple(strip(c) for c in f.children), support=None)
+        return done[id(f)]
+
+    return [strip(f) for f in fs]
+
+
 def eval_jets(fs, x, order: int) -> list:
     """Jets of several maps at one point x to the given order.  They share one
     walk, so a subtree common to several maps is evaluated once."""
@@ -366,6 +379,20 @@ class _Env:
         self.coords = coords or tuple(jet_variable(i, x, len(x), order) for i in range(len(x)))
         self.memo: dict = {}
         self.derived: dict = {}
+        self.norms: dict = {}  # support axes -> squared norm of the point over them
+        self.monomials = None  # see substitute
+
+    def beyond(self, support) -> bool:
+        """Whether the point has norm >= radius over the axes of an (axes,
+        radius) support, where the node and, by continuity, all its
+        derivatives vanish.  A NaN point is never beyond."""
+        axes, radius = support
+        if axes not in self.norms:
+            u = 0.0
+            for i in axes:  # added in order, as a norm_squared node adds them
+                u += self.coords[i].value.real ** 2
+            self.norms[axes] = u
+        return self.norms[axes] >= radius * radius
 
     def pullback(self, A: np.ndarray, b: np.ndarray) -> "_Env":
         key = (A.shape, A.tobytes(), b.tobytes())
@@ -377,22 +404,35 @@ class _Env:
                 for j in range(A.shape[0])))
         return self.derived[key]
 
+    def point(self) -> tuple:
+        """The point these coordinates take (the base of plain coordinates)."""
+        return (self.coords[0].base if self.plain
+                else tuple(float(c.value.real) for c in self.coords))
+
     def raised(self) -> "_Env":
         """Plain coordinates one order higher at the point these coordinates
         take, for a derivative node."""
         if "deriv" not in self.derived:
-            x = tuple(float(c.value.real) for c in self.coords)
-            self.derived["deriv"] = _Env(x, self.coords[0].order + 1)
+            self.derived["deriv"] = _Env(self.point(), self.coords[0].order + 1)
         return self.derived["deriv"]
 
     def substitute(self, j: Jet) -> Jet:
-        """A jet in plain coordinates at the point of `raised`, as a jet in
-        the variables of this environment: its Taylor polynomial at the
-        coordinate jets shifted to that point."""
+        """A jet in plain coordinates at the point these coordinates take, as
+        a jet in the variables of this environment: its Taylor polynomial at
+        the coordinate jets shifted to that point."""
         if self.plain:
             return j
-        coeffs = dict(zip(multi_indices(j.dim, j.order), j.c))
-        return _poly_at(coeffs, [c - c.value for c in self.coords])
+        ref = self.coords[0]
+        if self.monomials is None:
+            # row m: the jet of prod_i (coords[i] - value_i)^(m_i), |m| <= order
+            shifted = [c - c.value for c in self.coords]
+            mono = {}
+            for m in multi_indices(j.dim, j.order):  # graded: m - e_i comes first
+                i = next((i for i, e in enumerate(m) if e), None)
+                mono[m] = (jet_constant(1.0, ref.base, ref.dim, ref.order) if i is None
+                           else mono[m[:i] + (m[i] - 1,) + m[i + 1:]] * shifted[i])
+            self.monomials = np.array([jet.c for jet in mono.values()])
+        return Jet(ref.dim, ref.order, ref.base, j.c @ self.monomials)
 
 
 def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
@@ -402,7 +442,9 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
     k = f.kind
     coords = env.coords
     ref = coords[0]
-    if k == "coord":
+    if f.support is not None and env.beyond(f.support):
+        out = jet_constant(0.0, ref.base, ref.dim, ref.order)
+    elif k == "coord":
         out = coords[f.payload]
     elif k == "const":
         out = jet_constant(f.payload, ref.base, ref.dim, ref.order)
@@ -428,7 +470,7 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
         if out is None:
             out = jet_constant(0.0, ref.base, ref.dim, ref.order)
     elif k == "poly":
-        out = _poly_jet(f.payload, env)
+        out = env.substitute(_poly_jet(f.payload, env.point(), ref.order))
     elif k == "affine":
         out = _eval_jet(f.children[0], env.pullback(*f.payload))
     elif k == "uni":
@@ -448,35 +490,18 @@ def _index_array(dim: int, degree: int) -> np.ndarray:
     return np.array(multi_indices(dim, degree), dtype=int).reshape(-1, dim)
 
 
-def _poly_jet(coeffs: dict, env: _Env) -> Jet:
-    """Jet of a polynomial: in closed form when the environment is plain
-    coordinates, by jet arithmetic otherwise."""
-    if not env.plain:
-        return _poly_at(coeffs, env.coords)
-    ref = env.coords[0]
-    dim, order = ref.dim, ref.order
+def _poly_jet(coeffs: dict, x0: tuple, order: int) -> Jet:
+    """Jet of a polynomial at x0 in plain coordinates, in closed form."""
+    dim = len(x0)
     # x^m shifted to x0 has the coefficient prod_i comb(m_i, alpha_i)
     # x0_i^(m_i - alpha_i) at alpha <= m, and 0 at every other alpha
     c = np.zeros(n_coeffs(dim, order), dtype=complex)
     for m, cm in coeffs.items():
         alpha = _index_array(dim, min(sum(m), order))
         w = np.full(len(alpha), cm, dtype=complex)
-        for i, x in enumerate(ref.base):
+        for i, x in enumerate(x0):
             factor = np.zeros(sum(m) + 1)  # indexed by alpha_i, 0 above m_i
             factor[:m[i] + 1] = [math.comb(m[i], a) * x ** (m[i] - a) for a in range(m[i] + 1)]
             w = w * factor[alpha[:, i]]
         c[:len(alpha)] += w
-    return Jet(dim, order, ref.base, c)
-
-
-def _poly_at(coeffs: dict, coords) -> Jet:
-    """Jet of sum_m c_m prod_i coords[i]^(m_i) by jet arithmetic."""
-    ref = coords[0]
-    out = jet_constant(0.0, ref.base, ref.dim, ref.order)
-    for m, cm in coeffs.items():
-        term = jet_constant(cm, ref.base, ref.dim, ref.order)
-        for i, e in enumerate(m):
-            for _ in range(e):
-                term = term * coords[i]
-        out = out + term
-    return out
+    return Jet(dim, order, x0, c)

@@ -156,9 +156,13 @@ C2_WEIGHTS = (-1.0 / 8.0, -1.0 / 12.0)
 
 def _theta_matrix(theta: VerticalMultivector, x, order: int) -> np.ndarray:
     """Antisymmetric [n, n, c] array of the component jet coefficients at x
-    (zeros where a component is absent), from one walk of all the components."""
+    (zeros where a component is absent), from one walk of all the components,
+    or in closed form where the fiber part of x is inside theta's plateau."""
     n, comps = theta.base_dim, theta.components
     m = np.zeros((n, n, n_coeffs(theta.ambient_dim, order)), dtype=complex)
+    if theta.plateau and np.linalg.norm(np.asarray(x)[theta.fiber_offset:]) < theta.plateau[0]:
+        m[..., 0] = theta.plateau[1]
+        return m
     for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order)):
         m[i, j], m[j, i] = jet.c, -jet.c
     return m
@@ -202,6 +206,7 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
     # theta enters C_1 at the output order K and C_2 (from t = 2) at K + 1
     th_order = max((K + (t == 2) for t, K in enumerate(out_orders) if t > 0), default=0)
     th = _theta_matrix(theta, x, th_order) if N > 0 else None
+    pointwise = th is None or not th.any()  # then C_1 = C_2 = 0: beyond the support
     out = [jet_constant(0.0, base, dim, K) for K in out_orders]
     for a in range(len(F)):
         for b in range(min(len(G), N - a + 1)):
@@ -210,6 +215,8 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
                 K = out_orders[t]
                 if K + r > min(F[a].order, G[b].order):
                     raise ValueError("input jets of insufficient order")
+                if r > 0 and pointwise:
+                    continue
                 if r == 0:
                     term = F[a].truncate(K) * G[b].truncate(K)
                 elif r == 1:

@@ -202,17 +202,17 @@ def trust_report(state: CoherentState, sp: StarProduct) -> dict:
     scanning.
 
     Guaranteed for the constant-bivector product when (Theta, g) is the
-    standard compatible pair; for compactly supported structures the guarantee
-    only covers bases inside the inner (constant-coefficient) ball, and bases
-    in the transition annulus are flagged for a mandatory scan.
+    standard compatible pair; for compactly supported structures it covers
+    bases outside the support and, for that pair, inside the plateau |v| < r
+    where theta = Theta; bases in the annulus are flagged for a mandatory scan.
     """
     report = {"guaranteed": False, "annulus": False, "scan_required": True}
     if not state.smearing:
         report["reason"] = "bare delta functionals are not positive"
         return report
+    identity_g = np.array_equal(state.metric_inv, np.eye(sp.n))
     if sp.mode in ("moyal_constant", "moyal_fiberwise") and sp.Theta is not None:
-        if (np.array_equal(sp.Theta, standard_symplectic(sp.n))
-                and np.array_equal(state.metric_inv, np.eye(sp.n))):
+        if identity_g and np.array_equal(sp.Theta, standard_symplectic(sp.n)):
             report.update(guaranteed=True, scan_required=False,
                           reason="standard compatible (Theta, g) pair")
             return report
@@ -220,10 +220,14 @@ def trust_report(state: CoherentState, sp: StarProduct) -> dict:
         return report
     theta = sp.theta
     if theta is not None and theta.support_radius is not None:
-        v = np.asarray(state.base)[state.fiber_offset:]
-        if np.linalg.norm(v) > theta.support_radius:
+        s = np.linalg.norm(np.asarray(state.base)[state.fiber_offset:])
+        if s >= theta.support_radius:
             report.update(guaranteed=True, scan_required=False,
                           reason="base outside the support: classical state")
+        elif (theta.plateau and s < theta.plateau[0] and identity_g
+              and np.array_equal(theta.plateau[1], standard_symplectic(sp.n))):
+            report.update(guaranteed=True, scan_required=False,
+                          reason="plateau: standard compatible (Theta, g) pair")
         else:
             report.update(annulus=True,
                           reason="base inside the support of a non-constant "

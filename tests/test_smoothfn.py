@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vertstar import smoothfn as sf
-from vertstar.jets import multi_indices
+from vertstar.jets import Jet, jet_constant, jet_variable, multi_indices
 from vertstar.poisson import (build_ball_compact_theta, build_commuting_compact_theta,
                               naive_scaled_theta, restrict_to_fiber, schouten,
                               standard_symplectic)
@@ -184,21 +184,46 @@ def test_eval_jet_wrong_dim_raises():
         eval_jet(f, (1.0,), 2)
 
 
+def _poly_by_jet_arithmetic(coeffs, coords):
+    """sum_m c_m prod_i coords[i]^(m_i) by jet products: the reference for the
+    closed-form polynomial jet."""
+    ref = coords[0]
+    out = jet_constant(0.0, ref.base, ref.dim, ref.order)
+    for m, cm in coeffs.items():
+        term = jet_constant(cm, ref.base, ref.dim, ref.order)
+        for i, e in enumerate(m):
+            term = term * coords[i] ** e
+        out = out + term
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_poly_closed_form_matches_jet_arithmetic(data):
-    # an affine pullback, even the identity, makes a non-plain environment,
-    # so the pulled-back polynomial takes the jet-arithmetic branch
+    # in plain coordinates the polynomial jet is a closed form; under an
+    # affine pullback it is that closed form at the pulled-back point,
+    # substituted into the shifted coordinate jets
     dim = data.draw(st.integers(1, 4))
     order = data.draw(st.integers(0, 6))
     monos = multi_indices(dim, data.draw(st.integers(0, 4)))
     coef = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
     coeffs = data.draw(st.dictionaries(st.sampled_from(monos), coef, min_size=1, max_size=6))
-    x = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    x = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=dim * dim + dim, max_size=dim * dim + dim)
+    A, b = np.eye(dim), np.zeros(dim)
+    if data.draw(st.booleans()):
+        ab = np.array(data.draw(entries))
+        A, b = ab[:dim * dim].reshape(dim, dim), ab[dim * dim:]
     f = sf.polynomial(coeffs, dim)
-    closed = eval_jet(f, x, order).c
-    ref = eval_jet(sf.pullback_affine(f, np.eye(dim), np.zeros(dim)), x, order).c
-    assert np.all(np.abs(closed - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    var = [jet_variable(i, x, dim, order) for i in range(dim)]
+    pulled = [sum((var[i] * A[j, i] for i in range(dim)), jet_constant(b[j], x, dim, order))
+              for j in range(dim)]
+    for g, coords in ((f, var), (sf.pullback_affine(f, A, b), pulled)):
+        ref = _poly_by_jet_arithmetic(coeffs, coords).c
+        # the size of the terms before they cancel bounds the rounding
+        size = _poly_by_jet_arithmetic({m: abs(c) for m, c in coeffs.items()},
+                                       [Jet(dim, order, x, np.abs(c.c)) for c in coords]).c
+        assert np.all(np.abs(eval_jet(g, x, order).c - ref) <= 1e-13 * np.maximum(1.0, size.real))
 
 
 def _restricted_ball_theta():
@@ -292,9 +317,10 @@ def value_tree(name):
     return list(th.components.values()), th.fiber_offset
 
 
+# for n = 2 the bracket [[theta, theta]] has no components
 VALUE_TREES = sorted(["deriv-rotated"] + [f"{t}{part}" for t in THETAS
                                           for part in ("", "/fiber", "/bracket")
-                                          if not (t in ("ball2", "ball4") and part == "/bracket")])
+                                          if not (t == "ball2" and part == "/bracket")])
 RADII = {"plateau": 0.6, "annulus": 1.1, "outside": 1.4, "at r": R, "at r + eps": R + EPS}
 
 
@@ -311,3 +337,57 @@ def test_evaluate_is_the_value_of_every_jet(name, region, k, coords):
     v *= RADII[region] / np.linalg.norm(v)
     for f, jet in zip(fns, eval_jets(fns, x, k)):
         assert evaluate(f, x) == jet.value
+
+
+# fiber radii for the pruning property: a region, or an exact radius on a
+# coordinate axis (there |v| is exactly the radius), one ulp either side of
+# r + eps included
+PRUNE_RADII = {"plateau": 0.6, "annulus": 1.1, "outside": 1.4,
+               "axis r + eps": R + EPS, "axis r + eps - ulp": np.nextafter(R + EPS, 0.0),
+               "axis r + eps + ulp": np.nextafter(R + EPS, 2.0)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(VALUE_TREES), st.sampled_from(sorted(PRUNE_RADII) + ["nan"]),
+       st.integers(0, 3), st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_support_pruning_matches_the_full_walk(name, region, k, coords):
+    # a node beyond its declared support takes the zero jet without a walk;
+    # that must be the jet the whole walk computes (equal up to signed zeros)
+    fns, off = value_tree(name)
+    x = np.array(coords[:fns[0].dim])
+    v = x[off:]
+    if region.startswith("axis"):
+        v[:] = 0.0
+        v[int(abs(coords[0]) * 7.99) % len(v)] = PRUNE_RADII[region]
+    elif region == "nan":
+        v[0] = np.nan  # a NaN point is never pruned, so NaN propagates
+    else:
+        assume(np.linalg.norm(v) > 1e-3)
+        v *= PRUNE_RADII[region] / np.linalg.norm(v)
+    with np.errstate(invalid="ignore"):
+        pruned = eval_jets(fns, x, k)
+        full = eval_jets(sf.strip_support(fns), x, k)
+    for a, b in zip(pruned, full):
+        assert np.array_equal(a.c, b.c, equal_nan=region == "nan")
+    if region == "nan":
+        assert any(np.isnan(j.value) for j in pruned)
+
+
+def test_strip_support_keeps_shared_subtrees():
+    fns, _ = value_tree("ball3")
+    stripped = sf.strip_support(fns)
+
+    def nodes(f, out):
+        if id(f) not in out:
+            out[id(f)] = f
+            for c in f.children:
+                nodes(c, out)
+        return out
+
+    before, after = {}, {}
+    for f, g in zip(fns, stripped):
+        nodes(f, before)
+        nodes(g, after)
+    assert len(after) == len(before)
+    assert all(g.support is None for g in after.values())
+    assert any(f.support is not None for f in before.values())

@@ -1,6 +1,7 @@
 """Star products: canonical commutators, associativity, structural symmetries,
 the closed-form order-2 operator, and the two-point (pair) picture."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -372,3 +373,38 @@ def test_vertical_kernels_match_loop_reference(n, K, picture, region, seed):
         assert new.order == K
         assert np.max(np.abs(new.c - ref.c)) <= 1e-14 * max(1.0, size)
 
+
+
+def _same_bits(a, b):
+    """Bitwise equality up to signed zeros (adding 0 turns -0.0 into 0.0)."""
+    return (a + 0).tobytes() == (b + 0).tobytes()
+
+
+@pytest.mark.parametrize("build", [build_ball_compact_theta, build_commuting_compact_theta])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("picture", ["tm", "fiber"])
+def test_plateau_closed_form_is_the_walk(build, n, picture):
+    # strictly inside |v| < r the theta array is taken in closed form from
+    # theta.plateau; it must be the walk's array bit for bit
+    rng = np.random.default_rng(n)
+    Theta = rng.uniform(-1, 1, (n, n))
+    th = build(n, Theta - Theta.T, 1.0, 0.25)
+    if picture == "fiber":
+        th = restrict_to_fiber(th, np.linspace(-0.5, 0.5, n))
+    walked = replace(th, plateau=None)
+    off = th.fiber_offset
+    # on a coordinate axis |v| is exactly the radius: one ulp inside, at and
+    # one ulp outside r, then |v| = 0 and random plateau points
+    axis = np.eye(n)[rng.integers(n)]
+    vs = [rho * axis for rho in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.0)]
+    for rho in rng.uniform(0.0, 0.99, 6):
+        d = rng.normal(size=n)
+        vs.append(rho * d / np.linalg.norm(d))
+    wrong = replace(th, plateau=(1.0, 1.001 * th.plateau[1]))
+    for v in vs:
+        x = np.concatenate([rng.uniform(-1, 1, off), v])
+        for k in range(4):
+            closed = starprod._theta_matrix(th, x, k)
+            assert _same_bits(closed, starprod._theta_matrix(walked, x, k))
+            if 0.0 < np.linalg.norm(v) < 1.0:
+                assert not _same_bits(starprod._theta_matrix(wrong, x, k), closed)

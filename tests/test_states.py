@@ -224,9 +224,24 @@ def test_trust_report(sp4):
         np.zeros(2))
     spv = general_vertical(th, 2)
     inner = CoherentState((0.1, 0.0), 2, 2)
+    annulus = CoherentState((1.1, 0.0), 2, 2)
+    edge = CoherentState((1.25, 0.0), 2, 2)
     outer = CoherentState((3.0, 0.0), 2, 2)
-    assert trust_report(inner, spv)["annulus"]
+    # inside the plateau theta is the standard Theta, so the Moyal guarantee holds
+    rep = trust_report(inner, spv)
+    assert rep["guaranteed"] and not rep["scan_required"] and not rep["annulus"]
+    assert rep["reason"].startswith("plateau")
+    rep = trust_report(annulus, spv)
+    assert rep["annulus"] and rep["scan_required"] and not rep["guaranteed"]
     assert trust_report(outer, spv)["guaranteed"]
+    assert trust_report(edge, spv)["guaranteed"]  # |v| = r + eps: theta vanishes there
+    # a nonstandard Theta or metric keeps the plateau under the scan
+    skewed = general_vertical(poisson.build_ball_compact_theta(
+        2, 2 * standard_symplectic(2), 1.0, 0.25), 2)
+    assert trust_report(CoherentState((0.0, 0.0, 0.1, 0.0), 2, 2, fiber_offset=2),
+                        skewed)["annulus"]
+    squeezed = CoherentState((0.1, 0.0), 2, 2, metric_inv=np.diag([2.0, 0.5]))
+    assert trust_report(squeezed, spv)["annulus"]
 
 
 def test_metric_validation():
