@@ -1,5 +1,5 @@
 """Command-line drivers: light-cone profiles, distance measurements,
-structural checks, and the two-point (pair picture) demo.
+structural checks, and the two-point (pair) demo.
 
 Exit codes: 0 success, 1 check violation, 2 invalid configuration, 3 numeric
 failure.  All randomness flows through a seeded numpy PCG64 generator, so a
@@ -97,11 +97,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if cfg.theta.kind not in kinds:
         raise ConfigError(f"theta_spec.kind must be one of {kinds}")
     if ts.get("Theta") is not None:
-        cfg.theta.Theta = np.asarray(ts["Theta"], dtype=float)
-        if cfg.theta.Theta.shape != (cfg.n, cfg.n):
+        Theta = np.asarray(ts["Theta"], dtype=float)
+        if Theta.shape != (cfg.n, cfg.n):
             raise ConfigError("theta_spec.Theta must be an n x n matrix")
-        if not np.allclose(cfg.theta.Theta, -cfg.theta.Theta.T, atol=1e-14):
-            raise ConfigError("theta_spec.Theta must be antisymmetric")
+        try:
+            cfg.theta.Theta = poisson.check_antisymmetric(Theta)
+        except ValueError as exc:
+            raise ConfigError(f"theta_spec.{exc}") from exc
     cfg.theta.r = float(ts.get("r", cfg.theta.r))
     cfg.theta.eps = float(ts.get("eps", cfg.theta.eps))
     if cfg.theta.r <= 0 or cfg.theta.eps <= 0:
@@ -139,10 +141,12 @@ def build_theta(cfg: ExperimentConfig) -> VerticalMultivector:
     return poisson.build_ball_compact_theta(cfg.n, Theta, cfg.theta.r, cfg.theta.eps)
 
 
-def build_star(cfg: ExperimentConfig, picture: str = "tm") -> StarProduct:
+def build_star(cfg: ExperimentConfig) -> StarProduct:
+    """The configured star product on the tangent bundle; restrict it to a
+    fiber for the fiber commands."""
     Theta = cfg.theta.Theta if cfg.theta.Theta is not None else standard_symplectic(cfg.n)
     if cfg.star_mode == "moyal_constant":
-        return starprod.moyal_constant(cfg.n, Theta, cfg.N_lambda, picture=picture)
+        return starprod.moyal_constant(cfg.n, Theta, cfg.N_lambda, "tm")
     if cfg.star_mode == "moyal_fiberwise":
         fn = [[None] * cfg.n for _ in range(cfg.n)]
         for i in range(cfg.n):
@@ -150,10 +154,7 @@ def build_star(cfg: ExperimentConfig, picture: str = "tm") -> StarProduct:
                 if Theta[i, j] != 0.0:
                     fn[i][j] = sf.constant(Theta[i, j], cfg.n)
         return starprod.moyal_fiberwise(cfg.n, fn, cfg.N_lambda)
-    theta = build_theta(cfg)
-    if picture == "fiber":
-        theta = poisson.restrict_to_fiber(theta, np.zeros(cfg.n))
-    return starprod.general_vertical(theta, min(cfg.N_lambda, 2))
+    return starprod.general_vertical(build_theta(cfg), min(cfg.N_lambda, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def cmd_distance(cfg: ExperimentConfig, args) -> int:
     v = np.asarray([float(x) for x in args.v.split(",")], dtype=float)
     if v.shape[0] != cfg.n:
         raise ConfigError(f"--v must have {cfg.n} components")
-    sp = build_star(cfg, picture="fiber")
+    sp = build_star(cfg).restrict(np.zeros(cfg.n))
     state = CoherentState(v, cfg.n, cfg.N_lambda, metric_inv=cfg.metric_inv)
     f_eta = lorentz_square(cfg.n)
     expectation = state.expect(f_eta)
@@ -259,7 +260,7 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         samples = poisson.fiber_samples(theta, cfg.sample_count, seed=cfg.seed)
         defect = poisson.jacobi_defect(theta, samples)
     elif which == "assoc":
-        sp = build_star(cfg, picture="tm")
+        sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, 3 * min(cfg.sample_count, 50))
         pts = rng.uniform(-1, 1, (min(cfg.sample_count, 50), 2 * cfg.n))
         if cfg.theta.kind != "constant":
@@ -271,7 +272,7 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
                 sp, fs[3 * k], fs[3 * k + 1], fs[3 * k + 2], [pts[k]])
             defect = max(defect, float(np.max(d)))
     elif which == "vertical":
-        sp = build_star(cfg, picture="tm")
+        sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, cfg.sample_count)
         base_polys = _random_fiber_polys(cfg, rng, cfg.sample_count,
                                          dim=2 * cfg.n, offset=0)
@@ -284,26 +285,26 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         pts = rng.uniform(-1, 1, (min(cfg.sample_count, 20), 2 * cfg.n))
         defect = starprod.check_verticality(sp, list(zip(fs, us)), pts)
     elif which == "flip":
-        sp = build_star(cfg, picture="tm")
+        sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, 2 * min(cfg.sample_count, 50))
         pts = rng.uniform(-1, 1, (10, 2 * cfg.n))
         pairs = list(zip(fs[::2], fs[1::2]))
         defect = starprod.check_flip_symmetry(sp, pairs, pts)
     elif which == "hermitean":
-        sp = build_star(cfg, picture="tm")
+        sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, 2 * min(cfg.sample_count, 50))
         pts = rng.uniform(-1, 1, (10, 2 * cfg.n))
         pairs = list(zip(fs[::2], fs[1::2]))
         defect = starprod.check_hermitean(sp, pairs, pts)
     elif which == "positivity":
-        sp = build_star(cfg, picture="fiber")
+        sp = build_star(cfg).restrict(np.zeros(cfg.n))
         state = CoherentState(np.zeros(cfg.n), cfg.n, cfg.N_lambda,
                               metric_inv=cfg.metric_inv)
         report = state.positivity_scan(sp, rng, count=cfg.sample_count)
         defect = 0.0 if report["ok"] else 1.0
         detail["checked"] = report["checked"]
     elif which == "uncertainty":
-        sp = build_star(cfg, picture="fiber")
+        sp = build_star(cfg).restrict(np.zeros(cfg.n))
         state = CoherentState(np.zeros(cfg.n), cfg.n, cfg.N_lambda,
                               metric_inv=cfg.metric_inv)
         f = sf.coordinate(0, cfg.n)
@@ -315,7 +316,7 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         detail["lhs"] = series_to_json(rep["lhs"])
         detail["rhs"] = series_to_json(rep["rhs"])
     elif which == "pair-consistency":
-        sp = build_star(cfg, picture="tm")
+        sp = build_star(cfg)
         n = cfg.n
         eye = np.eye(n)
         Ainv = np.block([[eye / 2, eye / 2], [-eye / 2, eye / 2]])

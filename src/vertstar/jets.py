@@ -80,10 +80,10 @@ def _deriv_table(dim: int, order: int, axes):
     return src, fac
 
 
-def partials(c: np.ndarray, dim: int, order: int, axes, K: int) -> np.ndarray:
-    """Partials d_i, i in axes, of order-`order` coefficient arrays (last
-    axis), truncated to order K: shape c.shape[:-1] + (len(axes), n_coeffs)."""
-    src, fac = _deriv_table(dim, order, axes)
+def partials(c: np.ndarray, dim: int, order: int, K: int) -> np.ndarray:
+    """All partials d_i, i < dim, of order-`order` coefficient arrays (last
+    axis), truncated to order K: shape c.shape[:-1] + (dim, n_coeffs)."""
+    src, fac = _deriv_table(dim, order, tuple(range(dim)))
     m = n_coeffs(dim, K)
     return fac[:, :m] * c.take(src[:, :m], axis=-1)
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import smoothfn as sf
+from .jets import n_coeffs
 from .smoothfn import SmoothMap, eval_jet, eval_jets
 
 
@@ -60,12 +60,22 @@ class VerticalMultivector:
 
     def matrix_at(self, x):
         """Dense antisymmetric component array evaluated at a point (degree 2)."""
-        n = self.base_dim
-        out = np.zeros((n, n), dtype=complex)
-        for (i, j), v in zip(self.components, _values(self, x)):
-            out[i, j] = v
-            out[j, i] = -v
-        return out
+        return theta_matrix(self, x, 0)[..., 0]
+
+
+def theta_matrix(theta: VerticalMultivector, x, order: int) -> np.ndarray:
+    """Antisymmetric [n, n, c] array of the coefficients of the component
+    jets at x in the n fiber variables (zeros where a component is absent),
+    from one walk of all the components, or in closed form where the fiber
+    part of x is inside theta's plateau."""
+    n, comps = theta.base_dim, theta.components
+    m = np.zeros((n, n, n_coeffs(n, order)), dtype=complex)
+    if theta.plateau and np.linalg.norm(np.asarray(x)[theta.fiber_offset:]) < theta.plateau[0]:
+        m[..., 0] = theta.plateau[1]
+        return m
+    for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order, fiber=n)):
+        m[i, j], m[j, i] = jet.c, -jet.c
+    return m
 
 
 def _values(X: VerticalMultivector, x) -> list:
@@ -172,9 +182,10 @@ def jacobi_defect(theta: VerticalMultivector, samples) -> float:
 
     with d_l the l-th fiber derivative.  The factor 2 is the normalization of
     `schouten`, so the result is max |schouten(theta, theta)| over the
-    components i < j < k.  Each point takes one order-1 jet walk of all the
-    components, with subtrees they share evaluated once.  Raises ValueError
-    on an empty sample set or a point of the wrong dimension.
+    components i < j < k.  Each point takes the order-1 theta_matrix: one jet
+    walk of all the components, or none on the plateau, where dtheta = 0 and
+    the defect is exactly 0.  Raises ValueError on an empty sample set or a
+    point of the wrong dimension.
     """
     if theta.degree != 2:
         raise ValueError("jacobi_defect requires a bivector")
@@ -183,21 +194,16 @@ def jacobi_defect(theta: VerticalMultivector, samples) -> float:
         raise ValueError("jacobi_defect needs at least one sample point")
     if any(x.shape != (theta.ambient_dim,) for x in points):
         raise ValueError("point dimension mismatch")
-    n, off = theta.base_dim, theta.fiber_offset
+    n = theta.base_dim
     if n < 3:
         return 0.0
     i, j, k = np.array(list(combinations(range(n), 3))).T
-    keys, fns = list(theta.components), list(theta.components.values())
     worst = 0.0
     for x in points:
-        T = np.zeros((n, n), dtype=complex)
-        dT = np.zeros((n, n, n), dtype=complex)  # dT[l, a, b] = d_l theta^{ab}
-        for (a, b), jet in zip(keys, eval_jets(fns, x, 1)):
-            # graded order: the first partials follow the value, axis by axis
-            grad = jet.c[1 + off:1 + off + n]
-            T[a, b], T[b, a] = jet.value, -jet.value
-            dT[:, a, b], dT[:, b, a] = grad, -grad
-        A = np.einsum("il,ljk->ijk", T, dT)
+        m = theta_matrix(theta, x, 1)
+        # graded order: the first partials follow the value, axis by axis, so
+        # m[a, b, 1 + l] = d_l theta^{ab}
+        A = np.einsum("il,jkl->ijk", m[..., 0], m[..., 1:])
         J = 2.0 * (A + A.transpose(2, 0, 1) + A.transpose(1, 2, 0))
         worst = max(worst, float(np.max(np.abs(J[i, j, k]))))
     return worst
@@ -225,20 +231,19 @@ def hkr(X: VerticalMultivector):
     k = X.degree
     if k < 1:
         raise ValueError("hkr requires degree >= 1")
-    off = X.fiber_offset
     from itertools import permutations
 
     def apply(fns, x):
         if len(fns) != k:
             raise ValueError(f"expected {k} functions")
-        grads = [eval_jet(f, x, 1) for f in fns]
+        grads = [eval_jet(f, x, 1, fiber=X.base_dim) for f in fns]
         total = 0.0
         for key, cval in zip(X.components, _values(X, x)):
             for perm in permutations(range(k)):
                 sign = _perm_sign([key[q] for q in perm])
                 prod = cval * sign
                 for slot, q in enumerate(perm):
-                    prod *= grads[slot].deriv(off + key[q]).value
+                    prod *= grads[slot].deriv(key[q]).value
                 total += prod
         return total / math.factorial(k)
 
@@ -247,14 +252,9 @@ def hkr(X: VerticalMultivector):
 
 def poisson_bracket(theta: VerticalMultivector, f, g, x):
     """{f, g} = <theta, df x dg> evaluated at a point."""
-    off = theta.fiber_offset
-    jf = eval_jet(f, x, 1)
-    jg = eval_jet(g, x, 1)
-    total = 0.0
-    for (i, j), c in zip(theta.components, _values(theta, x)):
-        total += c * (jf.deriv(off + i).value * jg.deriv(off + j).value
-                      - jf.deriv(off + j).value * jg.deriv(off + i).value)
-    return total
+    # the order-1 fiber jets hold the value, then the fiber gradient
+    df, dg = (eval_jet(h, x, 1, fiber=theta.base_dim).c[1:] for h in (f, g))
+    return df @ theta.matrix_at(x) @ dg
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +262,15 @@ def poisson_bracket(theta: VerticalMultivector, f, g, x):
 # ---------------------------------------------------------------------------
 
 
-def _check_antisymmetric(Theta):
+def check_antisymmetric(Theta) -> np.ndarray:
+    """Theta's upper triangle made exactly antisymmetric, after checking that
+    Theta is square with max |Theta + Theta^T| <= 1e-14 (no relative term,
+    so a large Theta gets no more slack)."""
     Theta = np.asarray(Theta, dtype=float)
     if Theta.ndim != 2 or Theta.shape[0] != Theta.shape[1]:
         raise ValueError("Theta must be a square matrix")
-    if not np.allclose(Theta, -Theta.T, atol=1e-14):
+    if np.max(np.abs(Theta + Theta.T)) > 1e-14:
         raise ValueError("Theta must be antisymmetric")
-    # the upper triangle, which the constructors read, made exactly antisymmetric
     return np.triu(Theta, 1) - np.triu(Theta, 1).T
 
 
@@ -283,7 +285,7 @@ def standard_symplectic(n: int) -> np.ndarray:
 
 def constant_theta(n: int, Theta) -> VerticalMultivector:
     """Vertical lift of a constant bivector (fiberwise-constant model)."""
-    Theta = _check_antisymmetric(Theta)
+    Theta = check_antisymmetric(Theta)
     comps = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -315,7 +317,7 @@ def build_commuting_compact_theta(n: int, Theta, r: float, eps: float) -> Vertic
     X_a = chi(v^a) d/dv^a.  The fields commute exactly, so the Jacobi identity
     holds; each component has compact support in its own pair of fiber
     directions (a full fiber ball only for n = 2)."""
-    Theta = _check_antisymmetric(Theta)
+    Theta = check_antisymmetric(Theta)
     comps = {}
     chis = [sf.bump_of(sf.coordinate(n + a, 2 * n), r, eps) for a in range(n)]
     for a in range(n):
@@ -354,7 +356,7 @@ def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMul
     """theta = (1/2) Theta^{ab} X_a ^ X_b with a commuting frame supported in
     the fiber ball of radius r + eps (pushforward of the coordinate frame
     along a radial diffeomorphism onto the open ball, extended by zero)."""
-    Theta = _check_antisymmetric(Theta)
+    Theta = check_antisymmetric(Theta)
     X = ball_frame_fields(n, r, eps)
     comps = {}
     for i in range(n):
@@ -374,7 +376,7 @@ def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMul
 def naive_scaled_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivector:
     """A radially bump-scaled constant bivector.  NOT Poisson for n >= 3 in
     general; kept as the counterexample that the Jacobi check must reject."""
-    Theta = _check_antisymmetric(Theta)
+    Theta = check_antisymmetric(Theta)
     dim = 2 * n
     chi = sf.radial_bump(dim, tuple(range(n, dim)), r, eps)
     comps = {}
@@ -392,13 +394,14 @@ def naive_scaled_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivect
 
 def fiber_samples(theta: VerticalMultivector, count: int, seed: int = 0,
                   radius: float | None = None, base_box: float = 1.0):
-    """Low-discrepancy sample points in the ambient space of theta, with the
-    fiber part inside the given ball plus a band straddling its boundary."""
+    """Seeded uniform sample points in the ambient space of theta, with the
+    fiber part in the cube of half-width R, and the last tenth of them in a
+    band straddling the sphere of radius R, so that the transition annulus of
+    a compactly supported theta is always reached."""
     n = theta.base_dim
     dim = theta.ambient_dim
     R = radius if radius is not None else (theta.support_radius or 1.0)
-    eng = qmc.Halton(d=dim, seed=seed)
-    pts = eng.random(count)
+    pts = np.random.default_rng(seed).random((count, dim))
     out = []
     n_boundary = max(count // 10, 1)
     for k, row in enumerate(pts):

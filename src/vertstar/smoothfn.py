@@ -339,9 +339,9 @@ def evaluate(f: SmoothMap, x):
     return eval_jets([f], x, 0)[0].value
 
 
-def eval_jet(f: SmoothMap, x, order: int) -> Jet:
-    """Jet of f at x to the given order."""
-    return eval_jets([f], x, order)[0]
+def eval_jet(f: SmoothMap, x, order: int, fiber: int | None = None) -> Jet:
+    """Jet of f at x to the given order (see eval_jets for `fiber`)."""
+    return eval_jets([f], x, order, fiber)[0]
 
 
 def strip_support(fs) -> list:
@@ -357,26 +357,39 @@ def strip_support(fs) -> list:
     return [strip(f) for f in fs]
 
 
-def eval_jets(fs, x, order: int) -> list:
+def eval_jets(fs, x, order: int, fiber: int | None = None) -> list:
     """Jets of several maps at one point x to the given order.  They share one
-    walk, so a subtree common to several maps is evaluated once."""
+    walk, so a subtree common to several maps is evaluated once.
+
+    The jet variables are the trailing `fiber` coordinates of x (all of them
+    by default); the others are constants.  With fiber = n on the tangent
+    bundle the jets differentiate only the fiber directions v of (p, v)."""
     x = tuple(float(v) for v in np.asarray(x, dtype=float))
     if any(len(x) != f.dim for f in fs):
         raise ValueError("point dimension mismatch")
-    env = _Env(x, order)
+    env = _Env(x, order, fiber)
     return [_eval_jet(f, env) for f in fs]
 
 
 class _Env:
-    """A coordinate environment of one jet walk.  `memo` holds the jets of the
-    nodes evaluated in it, keyed by id (every node is alive for the walk);
-    `derived` holds the environments made from it for affine and derivative
-    nodes, keyed by content, so all the nodes that need one share its memo."""
+    """A coordinate environment of one jet walk: the point x and the jets its
+    coordinates take.  `memo` holds the jets of the nodes evaluated in it,
+    keyed by id (every node is alive for the walk); `derived` holds the
+    environments made from it for affine and derivative nodes, keyed by
+    content, so all the nodes that need one share its memo."""
 
-    def __init__(self, x: tuple, order: int, coords: tuple | None = None):
-        # made from the point alone, the environment is plain coordinates
+    def __init__(self, x: tuple, order: int, fiber: int | None = None, coords=None):
+        self.x = x
+        # made from the point alone, the coordinates are plain: the trailing
+        # `fiber` of them are the jet variables, the others constants
         self.plain = coords is None
-        self.coords = coords or tuple(jet_variable(i, x, len(x), order) for i in range(len(x)))
+        if coords is None:
+            fiber = len(x) if fiber is None else fiber
+            coords = tuple(jet_constant(v, x, fiber, order) for v in x)
+            if order >= 1:
+                for k in range(fiber):  # graded order: e_k follows the value
+                    coords[len(x) - fiber + k].c[1 + k] = 1.0
+        self.coords = coords
         self.memo: dict = {}
         self.derived: dict = {}
         self.norms: dict = {}  # support axes -> squared norm of the point over them
@@ -398,31 +411,28 @@ class _Env:
         key = (A.shape, A.tobytes(), b.tobytes())
         if key not in self.derived:
             c, ref = self.coords, self.coords[0]
-            self.derived[key] = _Env(ref.base, ref.order, tuple(
+            coords = tuple(
                 sum((c[i] * A[j, i] for i in range(len(c)) if A[j, i] != 0.0),
                     jet_constant(b[j], ref.base, ref.dim, ref.order))
-                for j in range(A.shape[0])))
+                for j in range(A.shape[0]))
+            self.derived[key] = _Env(tuple(float(y.value.real) for y in coords),
+                                     ref.order, coords=coords)
         return self.derived[key]
 
-    def point(self) -> tuple:
-        """The point these coordinates take (the base of plain coordinates)."""
-        return (self.coords[0].base if self.plain
-                else tuple(float(c.value.real) for c in self.coords))
-
     def raised(self) -> "_Env":
-        """Plain coordinates one order higher at the point these coordinates
-        take, for a derivative node."""
+        """Plain coordinates, all of them variables, one order higher at the
+        point x, for a derivative node."""
         if "deriv" not in self.derived:
-            self.derived["deriv"] = _Env(self.point(), self.coords[0].order + 1)
+            self.derived["deriv"] = _Env(self.x, self.coords[0].order + 1)
         return self.derived["deriv"]
 
     def substitute(self, j: Jet) -> Jet:
-        """A jet in plain coordinates at the point these coordinates take, as
-        a jet in the variables of this environment: its Taylor polynomial at
-        the coordinate jets shifted to that point."""
-        if self.plain:
-            return j
+        """A jet in plain coordinates at x, all of them variables, as a jet in
+        the variables of this environment: its Taylor polynomial at the
+        coordinate jets shifted to x."""
         ref = self.coords[0]
+        if self.plain and ref.dim == j.dim:
+            return j
         if self.monomials is None:
             # row m: the jet of prod_i (coords[i] - value_i)^(m_i), |m| <= order
             shifted = [c - c.value for c in self.coords]
@@ -470,7 +480,8 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
         if out is None:
             out = jet_constant(0.0, ref.base, ref.dim, ref.order)
     elif k == "poly":
-        out = env.substitute(_poly_jet(f.payload, env.point(), ref.order))
+        out = (_poly_jet(f.payload, env.x, ref.order, ref.dim) if env.plain
+               else env.substitute(_poly_jet(f.payload, env.x, ref.order, f.dim)))
     elif k == "affine":
         out = _eval_jet(f.children[0], env.pullback(*f.payload))
     elif k == "uni":
@@ -485,23 +496,28 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
 
 
 @lru_cache(maxsize=None)
-def _index_array(dim: int, degree: int) -> np.ndarray:
-    """multi_indices(dim, degree) as an integer array, one row per index."""
-    return np.array(multi_indices(dim, degree), dtype=int).reshape(-1, dim)
+def _index_array(dim: int, fiber: int, degree: int) -> np.ndarray:
+    """multi_indices(fiber, degree) as an integer array, one row per index,
+    padded with zeros in front to the dim coordinates whose trailing `fiber`
+    are the variables."""
+    alpha = np.array(multi_indices(fiber, degree), dtype=int).reshape(-1, fiber)
+    return np.pad(alpha, ((0, 0), (dim - fiber, 0)))
 
 
-def _poly_jet(coeffs: dict, x0: tuple, order: int) -> Jet:
-    """Jet of a polynomial at x0 in plain coordinates, in closed form."""
+def _poly_jet(coeffs: dict, x0: tuple, order: int, fiber: int) -> Jet:
+    """Jet of a polynomial at x0 in plain coordinates whose trailing `fiber`
+    are the variables, in closed form."""
     dim = len(x0)
     # x^m shifted to x0 has the coefficient prod_i comb(m_i, alpha_i)
-    # x0_i^(m_i - alpha_i) at alpha <= m, and 0 at every other alpha
-    c = np.zeros(n_coeffs(dim, order), dtype=complex)
+    # x0_i^(m_i - alpha_i) at alpha <= m, and 0 at every other alpha; a
+    # constant coordinate has alpha_i = 0, so its x0_i^(m_i) scales them all
+    c = np.zeros(n_coeffs(fiber, order), dtype=complex)
     for m, cm in coeffs.items():
-        alpha = _index_array(dim, min(sum(m), order))
+        alpha = _index_array(dim, fiber, min(sum(m[dim - fiber:]), order))
         w = np.full(len(alpha), cm, dtype=complex)
         for i, x in enumerate(x0):
             factor = np.zeros(sum(m) + 1)  # indexed by alpha_i, 0 above m_i
             factor[:m[i] + 1] = [math.comb(m[i], a) * x ** (m[i] - a) for a in range(m[i] + 1)]
             w = w * factor[alpha[:, i]]
         c[:len(alpha)] += w
-    return Jet(dim, order, x0, c)
+    return Jet(fiber, order, x0, c)

@@ -8,8 +8,10 @@ Three modes:
                        bivector, with Kontsevich's closed-form second-order
                        operator.
 
-All products differentiate only fiber directions and are computed on jets, so
-the same code path yields point values and derivative information for states.
+All products differentiate only fiber directions and are computed on jets in
+the n fiber variables (the base point, if any, is a constant of the jet walk),
+so verticality holds by construction and the same code path yields point
+values and derivative information for states.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 from . import smoothfn as sf
 from .formal import FormalSeries
 from .jets import Jet, cauchy_product, jet_constant, multi_indices, n_coeffs, partials
-from .poisson import VerticalMultivector, jacobi_defect, restrict_to_fiber
+from .poisson import (VerticalMultivector, check_antisymmetric, jacobi_defect,
+                      restrict_to_fiber, theta_matrix)
 from .smoothfn import SmoothMap, eval_jet, eval_jets, evaluate
 
 # ---------------------------------------------------------------------------
@@ -97,23 +100,24 @@ def _pair_diag(dim: int, D: int, K: int):
     return np.asarray(dst), np.asarray(src)
 
 
-def _moyal_apply_P(c: np.ndarray, Theta, axes, dim: int, D: int) -> np.ndarray:
+def _moyal_apply_P(c: np.ndarray, Theta, D: int) -> np.ndarray:
     out = np.zeros_like(c)
-    n = len(axes)
+    n = len(Theta)
     for i in range(n):
         for j in range(n):
             t = Theta[i, j]
             if t == 0.0:
                 continue
-            dst, src, fac = _pair_step(dim, D, axes[i], axes[j])
+            dst, src, fac = _pair_step(n, D, i, j)
             out[dst] += t * fac * c[src]
     return out
 
 
-def _moyal_star_jets(Theta, F, G, axes, dim, base, out_orders):
+def _moyal_star_jets(Theta, F, G, out_orders):
     """Series of jets of f * g for the Weyl-Moyal product with a (locally)
     constant bivector; out_orders[t] is the jet order of the t-th coefficient."""
     N = len(out_orders) - 1
+    dim, base = F[0].dim, F[0].base
     out = [None] * (N + 1)
     for a in range(len(F)):
         for b in range(len(G)):
@@ -138,7 +142,7 @@ def _moyal_star_jets(Theta, F, G, axes, dim, base, out_orders):
                 jet = Jet(dim, K, base, coeff)
                 out[t] = jet if out[t] is None else out[t] + jet
                 if r < rs[-1]:
-                    c = _moyal_apply_P(c, Theta, axes, dim, D)
+                    c = _moyal_apply_P(c, Theta, D)
     for t in range(N + 1):
         if out[t] is None:
             out[t] = jet_constant(0.0, base, dim, out_orders[t])
@@ -154,41 +158,27 @@ def _moyal_star_jets(Theta, F, G, axes, dim, base, out_orders):
 C2_WEIGHTS = (-1.0 / 8.0, -1.0 / 12.0)
 
 
-def _theta_matrix(theta: VerticalMultivector, x, order: int) -> np.ndarray:
-    """Antisymmetric [n, n, c] array of the component jet coefficients at x
-    (zeros where a component is absent), from one walk of all the components,
-    or in closed form where the fiber part of x is inside theta's plateau."""
-    n, comps = theta.base_dim, theta.components
-    m = np.zeros((n, n, n_coeffs(theta.ambient_dim, order)), dtype=complex)
-    if theta.plateau and np.linalg.norm(np.asarray(x)[theta.fiber_offset:]) < theta.plateau[0]:
-        m[..., 0] = theta.plateau[1]
-        return m
-    for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order)):
-        m[i, j], m[j, i] = jet.c, -jet.c
-    return m
-
-
-def _c1_jet(th: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+def _c1_jet(th: np.ndarray, fjet: Jet, gjet: Jet, K: int) -> Jet:
     """C_1(f, g) = (i/2) th^{ij} d_i f d_j g as a jet of order K; th is the
     [n, n, c] theta array of order K or above."""
-    dim, axes = fjet.dim, range(off, off + len(th))
-    df = partials(fjet.c, dim, fjet.order, axes, K)
-    dg = partials(gjet.c, dim, gjet.order, axes, K)
+    dim = fjet.dim
+    df = partials(fjet.c, dim, fjet.order, K)
+    dg = partials(gjet.c, dim, gjet.order, K)
     th_dg = cauchy_product(th[..., :df.shape[-1]], dg[None], dim, K).sum(1)
     return Jet(dim, K, fjet.base, 0.5j * cauchy_product(df, th_dg, dim, K).sum(0))
 
 
-def _c2_jet(th: np.ndarray, fjet: Jet, gjet: Jet, off: int, K: int) -> Jet:
+def _c2_jet(th: np.ndarray, fjet: Jet, gjet: Jet, K: int) -> Jet:
     """C_2(f, g) = C2_WEIGHTS[0] T_a + C2_WEIGHTS[1] T_b as a jet of order K, in
     the factored form given in `general_vertical`; th is the [n, n, c] theta
     array of order K + 1 or above."""
-    dim, axes = fjet.dim, range(off, off + len(th))
+    dim = fjet.dim
     mul = partial(cauchy_product, dim=dim, order=K)
-    df = partials(fjet.c, dim, fjet.order, axes, K)
-    dg = partials(gjet.c, dim, gjet.order, axes, K)
-    d2f = partials(partials(fjet.c, dim, fjet.order, axes, K + 1), dim, K + 1, axes, K)
-    d2g = partials(partials(gjet.c, dim, gjet.order, axes, K + 1), dim, K + 1, axes, K)
-    dth = partials(th[..., :n_coeffs(dim, K + 1)], dim, K + 1, axes, K)  # last index l
+    df = partials(fjet.c, dim, fjet.order, K)
+    dg = partials(gjet.c, dim, gjet.order, K)
+    d2f = partials(partials(fjet.c, dim, fjet.order, K + 1), dim, K + 1, K)
+    d2g = partials(partials(gjet.c, dim, gjet.order, K + 1), dim, K + 1, K)
+    dth = partials(th[..., :n_coeffs(dim, K + 1)], dim, K + 1, K)  # last index l
     th = th[..., :df.shape[-1]]
     F = mul(d2f[:, :, None], th[None]).sum(1)
     G = mul(d2g[:, :, None], th[None]).sum(1)
@@ -201,11 +191,10 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
     N = len(out_orders) - 1
     if N > 2:
         raise ValueError("general vertical star products support order <= 2 only")
-    off = theta.fiber_offset
     base, dim = F[0].base, F[0].dim
     # theta enters C_1 at the output order K and C_2 (from t = 2) at K + 1
     th_order = max((K + (t == 2) for t, K in enumerate(out_orders) if t > 0), default=0)
-    th = _theta_matrix(theta, x, th_order) if N > 0 else None
+    th = theta_matrix(theta, x, th_order) if N > 0 else None
     pointwise = th is None or not th.any()  # then C_1 = C_2 = 0: beyond the support
     out = [jet_constant(0.0, base, dim, K) for K in out_orders]
     for a in range(len(F)):
@@ -220,9 +209,9 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
                 if r == 0:
                     term = F[a].truncate(K) * G[b].truncate(K)
                 elif r == 1:
-                    term = _c1_jet(th, F[a], G[b], off, K)
+                    term = _c1_jet(th, F[a], G[b], K)
                 else:
-                    term = _c2_jet(th, F[a], G[b], off, K)
+                    term = _c2_jet(th, F[a], G[b], K)
                 out[t] = out[t] + term
     return out
 
@@ -234,23 +223,20 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
 
 @dataclass(eq=False)
 class StarProduct:
+    """A star product of functions on its domain, the picture: 'tm' for
+    functions of (p, v), 'fiber' for functions of v.  It acts on jets in the
+    n fiber variables; F and G of star_jets are such jets."""
+
     mode: str
     n: int
     lambda_order: int
-    picture: str = "tm"  # 'tm': functions of (p, v); 'fiber': functions of v
+    picture: str = "tm"
     Theta: np.ndarray | None = None
     Theta_fn: object = None
     theta: VerticalMultivector | None = None
 
-    @property
-    def total_dim(self) -> int:
-        return 2 * self.n if self.picture == "tm" else self.n
-
-    @property
-    def fiber_offset(self) -> int:
-        return self.n if self.picture == "tm" else 0
-
     def _theta_at(self, x):
+        """Theta at the base point of x: the first n coordinates."""
         if self.mode == "moyal_constant":
             return self.Theta
         p = np.asarray(x, dtype=float)[: self.n]
@@ -267,11 +253,11 @@ class StarProduct:
         the deformation parameter."""
         if len(out_orders) != self.lambda_order + 1:
             raise ValueError("out_orders must have lambda_order + 1 entries")
+        if len(x) != (2 * self.n if self.picture == "tm" else self.n):
+            raise ValueError(f"a point of length {len(x)} is not in the "
+                             f"{self.picture!r} domain of n = {self.n}")
         if self.mode in ("moyal_constant", "moyal_fiberwise"):
-            Theta = self._theta_at(x)
-            axes = tuple(range(self.fiber_offset, self.fiber_offset + self.n))
-            return _moyal_star_jets(Theta, F, G, axes, self.total_dim,
-                                    F[0].base, out_orders)
+            return _moyal_star_jets(self._theta_at(x), F, G, out_orders)
         if self.mode == "general_vertical":
             return _vertical_star_jets(self.theta, F, G, x, out_orders)
         raise ValueError(f"unknown mode {self.mode!r}")
@@ -279,8 +265,8 @@ class StarProduct:
     def star_at(self, f: SmoothMap, g: SmoothMap, x) -> FormalSeries:
         """Pointwise star product as a formal series of complex values."""
         N = self.lambda_order
-        F = [eval_jet(f, x, N)]
-        G = [eval_jet(g, x, N)]
+        F = [eval_jet(f, x, N, fiber=self.n)]
+        G = [eval_jet(g, x, N, fiber=self.n)]
         jets = self.star_jets(F, G, x, [0] * (N + 1))
         return FormalSeries(N, tuple(j.value for j in jets))
 
@@ -292,19 +278,15 @@ class StarProduct:
             return StarProduct("moyal_constant", self.n, self.lambda_order,
                                picture="fiber", Theta=self.Theta)
         if self.mode == "moyal_fiberwise":
-            Theta = self._theta_at(np.concatenate([np.asarray(p, dtype=float),
-                                                   np.zeros(self.n)]))
             return StarProduct("moyal_constant", self.n, self.lambda_order,
-                               picture="fiber", Theta=Theta)
+                               picture="fiber", Theta=self._theta_at(p))
         return StarProduct("general_vertical", self.n, self.lambda_order,
                            picture="fiber", theta=restrict_to_fiber(self.theta, p))
 
 
 def moyal_constant(n: int, Theta, lambda_order: int, picture: str = "fiber") -> StarProduct:
-    Theta = np.asarray(Theta, dtype=float)
-    if not np.allclose(Theta, -Theta.T, atol=1e-14):
-        raise ValueError("Theta must be antisymmetric")
-    return StarProduct("moyal_constant", n, lambda_order, picture=picture, Theta=Theta)
+    return StarProduct("moyal_constant", n, lambda_order, picture=picture,
+                       Theta=check_antisymmetric(Theta))
 
 
 def moyal_fiberwise(n: int, Theta_fn, lambda_order: int) -> StarProduct:
@@ -345,7 +327,7 @@ def general_vertical(theta: VerticalMultivector, lambda_order: int,
         defect = jacobi_defect(theta, jacobi_samples)
         if defect >= 1e-9:
             raise ValueError(f"theta is not Poisson: Jacobi defect {defect:.2e}")
-    picture = "tm" if theta.fiber_offset > 0 else "fiber"
+    picture = "tm" if theta.ambient_dim > theta.base_dim else "fiber"
     return StarProduct("general_vertical", theta.base_dim, lambda_order,
                        picture=picture, theta=theta)
 
@@ -362,9 +344,7 @@ def associativity_defect(sp: StarProduct, f, g, h, samples) -> np.ndarray:
     inner_orders = [N - t for t in range(N + 1)]
     value_orders = [0] * (N + 1)
     for x in samples:
-        F = [eval_jet(f, x, 2 * N)]
-        G = [eval_jet(g, x, 2 * N)]
-        H = [eval_jet(h, x, 2 * N)]
+        F, G, H = ([eval_jet(k, x, 2 * N, fiber=sp.n)] for k in (f, g, h))
         fg = sp.star_jets(F, G, x, inner_orders)
         left = sp.star_jets(fg, [H[0]], x, value_orders)
         gh = sp.star_jets(G, H, x, inner_orders)
@@ -430,14 +410,11 @@ def check_hermitean(sp: StarProduct, pairs, samples) -> float:
 def check_flip_symmetry(sp: StarProduct, pairs, samples) -> float:
     """Max per-order violation of tau^*(f * g) = tau^*f * tau^*g with
     tau(p, v) = (p, -v)."""
-    d = sp.total_dim
-    off = sp.fiber_offset
-    A = np.eye(d)
-    for i in range(off, d):
-        A[i, i] = -1.0
-    b = np.zeros(d)
     worst = 0.0
     for f, g in pairs:
+        # the fiber coordinates are the trailing n
+        A = np.diag([1.0] * (f.dim - sp.n) + [-1.0] * sp.n)
+        b = np.zeros(f.dim)
         ft = sf.pullback_affine(f, A, b)
         gt = sf.pullback_affine(g, A, b)
         for x in samples:

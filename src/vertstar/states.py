@@ -10,10 +10,9 @@ non-positive counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import smoothfn as sf
 from .formal import ZERO_TOL, FormalSeries, is_formally_positive
@@ -26,35 +25,32 @@ from .starprod import StarProduct
 @dataclass(eq=False)
 class CoherentState:
     """Evaluation at `base` composed with the truncated heat semigroup
-    exp(lambda Delta_g / 4) acting on the fiber variables."""
+    exp(lambda Delta_g / 4) acting on the fiber variables, the trailing n
+    coordinates of `base` (a point v of the fiber, or (p, v))."""
 
     base: tuple
     n: int
     order: int
     metric_inv: np.ndarray = None
-    fiber_offset: int = 0
     smearing: bool = True  # False: the bare (non-positive) delta functional
-    _metric_full: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         self.base = tuple(float(x) for x in self.base)
+        if len(self.base) < self.n:
+            raise ValueError(f"base has fewer than n = {self.n} coordinates")
         if self.metric_inv is None:
             self.metric_inv = np.eye(self.n)
         self.metric_inv = np.asarray(self.metric_inv, dtype=float)
         g = self.metric_inv
         if not np.allclose(g, g.T) or np.any(np.linalg.eigvalsh(g) <= 0):
             raise ValueError("metric_inv must be symmetric positive definite")
-        dim = len(self.base)
-        full = np.zeros((dim, dim))
-        off = self.fiber_offset
-        full[off:off + self.n, off:off + self.n] = g
-        self._metric_full = full
 
     # -- expectation ---------------------------------------------------------
 
     def expect_jets(self, H) -> FormalSeries:
         """Expectation of a series of jets at `base`; coefficient r collects
-        (1/k! 4^k) Delta_g^k applied to H_{r-k}."""
+        (1/k! 4^k) Delta_g^k applied to H_{r-k}; the jets are in the n fiber
+        variables."""
         N = self.order
         out = [0j] * (N + 1)
         for s, jet in enumerate(H):
@@ -71,17 +67,17 @@ class CoherentState:
                 if cur.order < 2:
                     raise ValueError("jet order insufficient for the smearing order")
                 fact *= 4.0 * k
-                cur = jet_laplacian(cur, self._metric_full)
+                cur = jet_laplacian(cur, self.metric_inv)
         return FormalSeries(N, tuple(out))
 
     def expect(self, f: SmoothMap) -> FormalSeries:
-        return self.expect_jets([eval_jet(f, self.base, 2 * self.order)])
+        return self.expect_jets([eval_jet(f, self.base, 2 * self.order, fiber=self.n)])
 
     def star_expect(self, sp: StarProduct, f: SmoothMap, g: SmoothMap) -> FormalSeries:
         """omega(f * g) through the star product's jet pipeline."""
         N = self.order
-        F = [eval_jet(f, self.base, 2 * N)]
-        G = [eval_jet(g, self.base, 2 * N)]
+        F = [eval_jet(f, self.base, 2 * N, fiber=self.n)]
+        G = [eval_jet(g, self.base, 2 * N, fiber=self.n)]
         jets = sp.star_jets(F, G, self.base, [2 * (N - t) for t in range(N + 1)])
         return self.expect_jets(jets)
 
@@ -96,8 +92,8 @@ class CoherentState:
         """omega(conj(f - m) * (f - m)) for a given centering series m (equals
         the variance when m = omega(f))."""
         N = self.order
-        fj = eval_jet(f, self.base, 2 * N)
-        fjc = eval_jet(sf.conjugate(f), self.base, 2 * N)
+        fj = eval_jet(f, self.base, 2 * N, fiber=self.n)
+        fjc = eval_jet(sf.conjugate(f), self.base, 2 * N, fiber=self.n)
 
         def centered(jet, coeffs):
             out = [jet - coeffs[0]]
@@ -126,9 +122,7 @@ class CoherentState:
         """omega(conj(f) * f) must not be formally negative for random complex
         polynomials f in the fiber variables."""
         dim = len(self.base)
-        off = self.fiber_offset
-        monos = [m for m in multi_indices(dim, degree)
-                 if all(m[i] == 0 for i in range(off))]
+        monos = [m for m in multi_indices(dim, degree) if not any(m[:dim - self.n])]
         checked = 0
         for _ in range(count):
             coeffs = rng.uniform(-1, 1, len(monos)) + 1j * rng.uniform(-1, 1, len(monos))
@@ -148,10 +142,9 @@ class CoherentState:
                 "checked": checked}
 
 
-def bare_delta(base, n: int, order: int, metric_inv=None, fiber_offset: int = 0) -> CoherentState:
+def bare_delta(base, n: int, order: int, metric_inv=None) -> CoherentState:
     """The undeformed point evaluation (not positive for the deformed product)."""
-    return CoherentState(base, n, order, metric_inv=metric_inv,
-                         fiber_offset=fiber_offset, smearing=False)
+    return CoherentState(base, n, order, metric_inv=metric_inv, smearing=False)
 
 
 @dataclass(eq=False)
@@ -220,7 +213,7 @@ def trust_report(state: CoherentState, sp: StarProduct) -> dict:
         return report
     theta = sp.theta
     if theta is not None and theta.support_radius is not None:
-        s = np.linalg.norm(np.asarray(state.base)[state.fiber_offset:])
+        s = np.linalg.norm(state.base[-state.n:])
         if s >= theta.support_radius:
             report.update(guaranteed=True, scan_required=False,
                           reason="base outside the support: classical state")
@@ -253,15 +246,16 @@ class QuadraticObservable:
         A = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", (A + A.T) / 2)
 
-    def fn(self, dim: int, fiber_offset: int = 0) -> SmoothMap:
+    def fn(self, dim: int) -> SmoothMap:
+        """f_A on R^dim, of its trailing n coordinates (the fiber)."""
         n = self.A.shape[0]
         M = np.zeros((dim, dim))
-        M[fiber_offset:fiber_offset + n, fiber_offset:fiber_offset + n] = self.A
+        M[dim - n:, dim - n:] = self.A
         return sf.quadratic_form(M)
 
     def expect_closed_form(self, state: CoherentState) -> FormalSeries:
         """f_A(v) + (lambda/2) tr(g A), exact at every order."""
-        v = np.asarray(state.base)[state.fiber_offset:]
+        v = np.asarray(state.base[-state.n:])
         g = state.metric_inv
         coeffs = [complex(v @ self.A @ v)] + [0j] * state.order
         if state.order >= 1:
@@ -278,7 +272,7 @@ class QuadraticObservable:
         A = self.A
         g = state.metric_inv
         Th = np.asarray(Theta, dtype=float)
-        v = np.asarray(state.base)[state.fiber_offset:]
+        v = np.asarray(state.base[-state.n:])
         fA = float(v @ A @ v)
         fAgA = float(v @ (A @ g @ A) @ v)
         trgA = float(np.trace(g @ A))
@@ -303,9 +297,10 @@ def minkowski_metric(n: int = 4) -> np.ndarray:
     return eta
 
 
-def lorentz_square(n: int = 4, dim: int = None, fiber_offset: int = 0) -> SmoothMap:
-    """The Lorentz distance square f_eta, eta = diag(+, -, ..., -)."""
-    return QuadraticObservable(minkowski_metric(n)).fn(dim or n, fiber_offset)
+def lorentz_square(n: int = 4, dim: int = None) -> SmoothMap:
+    """The Lorentz distance square f_eta, eta = diag(+, -, ..., -), of the
+    trailing n coordinates of R^dim (dim = n by default)."""
+    return QuadraticObservable(minkowski_metric(n)).fn(dim or n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +319,8 @@ def expectation_root(lam: float, spatial_norm: float, n: int = 4,
                      order: int = 2, metric_inv=None) -> float:
     """v0 at which the numeric expectation of the Lorentz square vanishes,
     found by bracketing and bisection on the generic expectation pipeline."""
+    from scipy import optimize  # here, so that importing vertstar loads no scipy
+
     f_eta = lorentz_square(n)
 
     def h(v0):

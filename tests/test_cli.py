@@ -2,6 +2,9 @@
 seed reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,6 +177,8 @@ def test_assoc_check_reaches_transition_annulus(monkeypatch):
     ({"n": 2, "metric_inv": [[1, 0], [0, -1]]}, ["distance", "--v", "1,0"]),
     ({"n": 3, "theta_spec": {"Theta": [[0, 1, 0], [1, 0, 0], [0, 0, 0]]}},
      ["check", "assoc"]),
+    # asymmetric by 9e-6: no relative tolerance may let it through
+    ({"n": 2, "theta_spec": {"Theta": [[0, 1], [-1.000009, 0]]}}, ["check", "hermitean"]),
 ])
 def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
     path = tmp_path / "cfg.json"
@@ -181,3 +186,26 @@ def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
     code, out, err = run(argv + ["--config", str(path)], capsys)
     assert code == 2
     assert out == "" and err.startswith("config error:")
+
+
+def test_moyal_fiberwise_commands(tmp_path, capsys):
+    # the fiber commands restrict the tangent-bundle product to the fiber
+    # over p = 0, where the fiberwise Moyal product is Moyal with Theta(0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"star_mode": "moyal_fiberwise", "samples": {"count": 8}}))
+    code, out, _ = run(["check", "all", "--seed", "1", "--config", str(path)], capsys)
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 8 and all(r["ok"] for r in reports)
+    code, out, _ = run(["distance", "--v", "1,0,0,0", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["variance"] == [[0.0, 0.0], [2.0, 0.0], [2.0, 0.0]]
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, vertstar.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

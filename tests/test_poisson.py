@@ -352,3 +352,38 @@ def test_ball_frame_shares_one_norm_squared(monkeypatch):
             x = v if p is not None else np.concatenate([base, v])
             for a, b in zip(eval_jets(fns, x, 2), eval_jets(ref, x, 2)):
                 assert a.c.tobytes() == b.c.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda T: constant_theta(2, T),
+    lambda T: build_commuting_compact_theta(2, T, 1.0, 0.25),
+    lambda T: build_ball_compact_theta(2, T, 1.0, 0.25),
+    lambda T: naive_scaled_theta(2, T, 1.0, 0.25),
+], ids=["constant", "commuting", "ball", "naive"])
+def test_constructors_reject_asymmetric_theta(build):
+    # asymmetric by 9e-6: no relative tolerance may let it through
+    with pytest.raises(ValueError, match="antisymmetric"):
+        build([[0.0, 1.0], [-1.000009, 0.0]])
+    assert build([[0.0, 1.0], [-1.0, 0.0]]).components
+
+
+@pytest.mark.parametrize("build", [build_ball_compact_theta, build_commuting_compact_theta])
+@pytest.mark.parametrize("n", [3, 4])
+def test_jacobi_defect_on_the_plateau_takes_no_walk(build, n, monkeypatch):
+    # on the plateau theta = Theta, so dtheta = 0 and the defect is exactly
+    # 0 without a walk; elsewhere it is the defect of the walked theta
+    rng = np.random.default_rng(n)
+    Theta = rng.uniform(-1, 1, (n, n))
+    th = build(n, Theta - Theta.T, 1.0, 0.25)
+    walked = replace(th, plateau=None)
+    pts = fiber_samples(th, 60, seed=n, radius=1.3)
+    inside = [x for x in pts if np.linalg.norm(x[n:]) < 1.0]
+    assert inside and len(inside) < len(pts)
+    for x in pts:
+        assert jacobi_defect(th, [x]) == jacobi_defect(walked, [x])
+
+    def no_walk(*args):
+        raise AssertionError("theta was walked on the plateau")
+
+    monkeypatch.setattr(poisson, "eval_jets", no_walk)
+    assert jacobi_defect(th, inside) == 0.0

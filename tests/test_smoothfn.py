@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vertstar import smoothfn as sf
+from vertstar import smoothfn as sf, starprod, states
 from vertstar.jets import Jet, jet_constant, jet_variable, multi_indices
 from vertstar.poisson import (build_ball_compact_theta, build_commuting_compact_theta,
                               naive_scaled_theta, restrict_to_fiber, schouten,
@@ -391,3 +391,134 @@ def test_strip_support_keeps_shared_subtrees():
     assert len(after) == len(before)
     assert all(g.support is None for g in after.values())
     assert any(f.support is not None for f in before.values())
+
+
+def _fiber_indices(dim, n, order):
+    """Where the multi-indices with a zero base part (the leading dim - n
+    entries) sit among all of them: the fiber indices, in the same graded
+    order."""
+    mi = multi_indices(dim, order)
+    idx = [k for k, m in enumerate(mi) if not any(m[:dim - n])]
+    assert [mi[k][dim - n:] for k in idx] == list(multi_indices(n, order))
+    return idx
+
+
+def _flip(n):
+    return np.diag([1.0] * n + [-1.0] * n)
+
+
+def _midpoint(n):
+    eye = np.eye(n)
+    return np.block([[eye, -eye], [eye, eye]])
+
+
+@lru_cache(maxsize=None)
+def _fiber_theta(name, n):
+    """Components on (p, v) of a theta family: tangent-bundle theta, its
+    restriction to a fiber lifted back to (p, v), or its Schouten bracket."""
+    Theta = np.random.default_rng(n).uniform(-1, 1, (n, n))
+    build = {"ball": build_ball_compact_theta, "commuting": build_commuting_compact_theta,
+             "naive": naive_scaled_theta}[name.partition("/")[0]]
+    th = build(n, Theta - Theta.T, R, EPS)
+    if name.endswith("/bracket"):
+        return list(schouten(th, th).components.values())
+    if name.endswith("/restricted"):
+        lift = np.hstack([np.zeros((n, n)), np.eye(n)])
+        return [sf.pullback_affine(f, lift, np.zeros(n))
+                for f in restrict_to_fiber(th, BASE[:n]).components.values()]
+    return list(th.components.values())
+
+
+# trees without poly or deriv nodes, whose fiber jets are the full jets'
+# coefficients bit for bit; support-pruned nodes among them outside |v| < 1.25
+EXACT_TREES = ["ball", "commuting", "naive", "ball/restricted", "commuting/restricted"]
+POLY_PULLBACKS = {"poly": None, "poly/flip": _flip, "poly/midpoint": _midpoint}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(EXACT_TREES + sorted(POLY_PULLBACKS) + ["ball/bracket", "deriv/flip"]),
+       st.sampled_from([2, 3, 4]), st.sampled_from(["plateau", "annulus", "outside"]),
+       st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_fiber_jets_are_the_full_jets_at_fiber_indices(name, n, region, order, seed):
+    # the fast path: jets in the n fiber variables of (p, v), with p held
+    # constant; the reference: the jets in all 2n variables, gathered at the
+    # multi-indices with a zero base part
+    rng = np.random.default_rng(seed)
+    dim = 2 * n
+    poly = None
+    if name in EXACT_TREES:
+        fns = _fiber_theta(name, n)
+    elif name == "ball/bracket":
+        n, dim = 3, 6  # the bracket of n = 2 has no components
+        fns = _fiber_theta(name, n)
+    elif name == "deriv/flip":
+        bump = sf.radial_bump(dim, range(n, dim), R, EPS)
+        fns = [sf.pullback_affine(sf.derivative(bump, n + i), _flip(n), np.zeros(dim))
+               for i in range(n)]
+    else:
+        monos = multi_indices(dim, 4)
+        coeffs = {monos[k]: complex(*rng.uniform(-1, 1, 2))
+                  for k in rng.choice(len(monos), 6, replace=False)}
+        make = POLY_PULLBACKS[name]
+        A = None if make is None else make(n)
+        poly = (coeffs, A)
+        f = sf.polynomial(coeffs, dim)
+        fns = [f if A is None else sf.pullback_affine(f, A, np.zeros(dim))]
+    v = rng.normal(size=n)
+    v *= {"plateau": 0.6, "annulus": 1.1, "outside": 1.4}[region] / np.linalg.norm(v)
+    x = np.concatenate([rng.uniform(-1, 1, n), v])
+    idx = _fiber_indices(dim, n, order)
+    size = None
+    if poly is not None:  # as in test_poly_closed_form_matches_jet_arithmetic
+        coeffs, A = poly
+        var = [jet_variable(i, x, dim, order) for i in range(dim)]
+        coords = var if A is None else [
+            sum((var[i] * A[j, i] for i in range(dim)), jet_constant(0.0, x, dim, order))
+            for j in range(dim)]
+        size = _poly_by_jet_arithmetic({m: abs(c) for m, c in coeffs.items()},
+                                       [Jet(dim, order, c.base, np.abs(c.c)) for c in coords])
+        size = size.c[idx].real
+    for a, b in zip(eval_jets(fns, x, order, n), eval_jets(fns, x, order)):
+        ref = b.c[idx]
+        assert (a.dim, a.order) == (n, order)
+        if name in EXACT_TREES:
+            assert (a.c + 0).tobytes() == (ref + 0).tobytes()  # up to signed zeros
+        else:
+            bound = np.abs(ref) if size is None else size
+            assert np.all(np.abs(a.c - ref) <= 1e-13 * np.maximum(1.0, bound))
+
+
+def test_products_and_states_see_fiber_jets(monkeypatch):
+    # on the tangent bundle too, star_jets and expect_jets get jets in the n
+    # fiber variables only
+    n = 2
+    dims = []
+    star_jets, expect_jets = starprod.StarProduct.star_jets, states.CoherentState.expect_jets
+
+    def spy_star(sp, F, G, x, out_orders):
+        dims.extend(j.dim for j in F + G)
+        return star_jets(sp, F, G, x, out_orders)
+
+    def spy_expect(state, H):
+        dims.extend(j.dim for j in H)
+        return expect_jets(state, H)
+
+    monkeypatch.setattr(starprod.StarProduct, "star_jets", spy_star)
+    monkeypatch.setattr(states.CoherentState, "expect_jets", spy_expect)
+    std = standard_symplectic(n)
+    products = [
+        starprod.moyal_constant(n, std, 2, picture="tm"),
+        starprod.moyal_fiberwise(n, [[None, sf.constant(1.0, n)],
+                                     [sf.constant(-1.0, n), None]], 2),
+        starprod.general_vertical(build_ball_compact_theta(n, std, R, EPS), 2),
+    ]
+    f = sf.polynomial({(1, 0, 2, 0): 1.0, (0, 0, 1, 1): 0.5j}, 2 * n)
+    g = sf.polynomial({(0, 1, 0, 2): -1.0, (0, 0, 1, 0): 2.0}, 2 * n)
+    x = np.array([0.3, -0.2, 1.1, 0.0])  # in the annulus of the ball theta
+    for sp in products:
+        sp.star_at(f, g, x)
+        starprod.associativity_defect(sp, f, g, f, [x])
+        state = states.CoherentState(x, n, 2)
+        state.variance(sp, f)
+        state.star_expect(sp, f, g)
+    assert len(dims) > 30 and set(dims) == {n}

@@ -252,6 +252,8 @@ def test_restrict_to_fiber_picture():
 def test_bad_mode_and_order_errors():
     with pytest.raises(ValueError):
         moyal_constant(2, np.eye(2), 2)  # not antisymmetric
+    with pytest.raises(ValueError):  # asymmetric by 9e-6, under allclose's rtol
+        moyal_constant(2, [[0.0, 1.0], [-1.000009, 0.0]], 2)
     th = constant_theta(2, STD2)
     with pytest.raises(ValueError):
         general_vertical(th, 3)
@@ -264,12 +266,12 @@ def _ref_theta_jets(theta, x, order):
     n = theta.base_dim
     m = [[None] * n for _ in range(n)]
     comps = theta.components
-    for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order)):
+    for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order, n)):
         m[i][j], m[j][i] = jet, -jet
     return m
 
 
-def _ref_c1(theta_jets, fjet, gjet, off, K):
+def _ref_c1(theta_jets, fjet, gjet, K):
     n = len(theta_jets)
     out = jet_constant(0.0, fjet.base, fjet.dim, K)
     for i in range(n):
@@ -277,24 +279,24 @@ def _ref_c1(theta_jets, fjet, gjet, off, K):
             th = theta_jets[i][j]
             if th is None:
                 continue
-            out = out + th.truncate(K) * fjet.deriv(off + i).truncate(K) * gjet.deriv(off + j).truncate(K)
+            out = out + th.truncate(K) * fjet.deriv(i).truncate(K) * gjet.deriv(j).truncate(K)
     return out * 0.5j
 
 
-def _ref_c2(theta_jets, fjet, gjet, off, K):
+def _ref_c2(theta_jets, fjet, gjet, K):
     n = len(theta_jets)
     Ta = Tb = jet_constant(0.0, fjet.base, fjet.dim, K)
     dtheta_jets = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if theta_jets[i][j] is not None:
-                row = [theta_jets[i][j].deriv(off + l).truncate(K) for l in range(n)]
+                row = [theta_jets[i][j].deriv(l).truncate(K) for l in range(n)]
                 dtheta_jets[i][j], dtheta_jets[j][i] = row, [-d for d in row]
     theta_jets = [[None if e is None else e.truncate(K) for e in row] for row in theta_jets]
-    df = [fjet.deriv(off + i) for i in range(n)]
-    dg = [gjet.deriv(off + i) for i in range(n)]
-    d2f = [[df[i].deriv(off + k).truncate(K) for k in range(n)] for i in range(n)]
-    d2g = [[dg[i].deriv(off + k).truncate(K) for k in range(n)] for i in range(n)]
+    df = [fjet.deriv(i) for i in range(n)]
+    dg = [gjet.deriv(i) for i in range(n)]
+    d2f = [[df[i].deriv(k).truncate(K) for k in range(n)] for i in range(n)]
+    d2g = [[dg[i].deriv(k).truncate(K) for k in range(n)] for i in range(n)]
     df = [j.truncate(K) for j in df]
     dg = [j.truncate(K) for j in dg]
     for i in range(n):
@@ -325,7 +327,7 @@ def _kernel_theta(n, picture):
     return th if picture == "tm" else restrict_to_fiber(th, np.linspace(-0.5, 0.5, n))
 
 
-def _term_sizes(th_arr, fj, gj, off, K):
+def _term_sizes(th_arr, fj, gj, K):
     """Sizes of C_1 and C_2 before cancellation: the sum over their terms of
     the l1 norms of the term jets.
 
@@ -334,11 +336,11 @@ def _term_sizes(th_arr, fj, gj, off, K):
     terms can cancel to a result a hundred times smaller; there the two
     differed by up to 1.2e-14 max(1, |ref|) in 3000 random cases, while each
     stayed within 6e-15 max(1, |ref|) of a 40-digit evaluation."""
-    dim, axes = fj.dim, range(off, off + len(th_arr))
-    dth_arr = partials(th_arr[..., :n_coeffs(dim, K + 1)], dim, K + 1, axes, K)
+    dim = fj.dim
+    dth_arr = partials(th_arr[..., :n_coeffs(dim, K + 1)], dim, K + 1, K)
     th, dth = np.abs(th_arr).sum(-1), np.abs(dth_arr).sum(-1)
-    df, dg = (np.abs(partials(j.c, dim, j.order, axes, K)).sum(-1) for j in (fj, gj))
-    d2f, d2g = (np.abs(partials(partials(j.c, dim, j.order, axes, K + 1), dim, K + 1, axes, K))
+    df, dg = (np.abs(partials(j.c, dim, j.order, K)).sum(-1) for j in (fj, gj))
+    d2f, d2g = (np.abs(partials(partials(j.c, dim, j.order, K + 1), dim, K + 1, K))
                 .sum(-1) for j in (fj, gj))
     c1 = 0.5 * np.einsum("ij,i,j->", th, df, dg)
     c2 = (-C2_WEIGHTS[0] * np.einsum("ij,kl,ik,jl->", th, th, d2f, d2g)
@@ -359,15 +361,14 @@ def test_vertical_kernels_match_loop_reference(n, K, picture, region, seed):
     v *= rng.uniform(*KERNEL_REGIONS[region]) / np.linalg.norm(v)
     x = np.concatenate([rng.uniform(-1, 1, off), v])
     f, g = (random_poly(rng, dim, degree=4, terms=6, complex_coeffs=True) for _ in range(2))
-    fj, gj = eval_jet(f, x, K + 2), eval_jet(g, x, K + 2)
+    fj, gj = eval_jet(f, x, K + 2, n), eval_jet(g, x, K + 2, n)
     th_jets = _ref_theta_jets(th, x, K + 1)
-    th_arr = starprod._theta_matrix(th, x, K + 1)
-    c1_size, c2_size = _term_sizes(th_arr, fj, gj, off, K)
+    th_arr = poisson.theta_matrix(th, x, K + 1)
+    c1_size, c2_size = _term_sizes(th_arr, fj, gj, K)
     pairs = [
-        (starprod._c1_jet(th_arr, fj, gj, off, K),
-         _ref_c1(th_jets, fj.truncate(K + 1), gj.truncate(K + 1), off, K), c1_size),
-        (starprod._c2_jet(th_arr, fj, gj, off, K), _ref_c2(th_jets, fj, gj, off, K),
-         c2_size),
+        (starprod._c1_jet(th_arr, fj, gj, K),
+         _ref_c1(th_jets, fj.truncate(K + 1), gj.truncate(K + 1), K), c1_size),
+        (starprod._c2_jet(th_arr, fj, gj, K), _ref_c2(th_jets, fj, gj, K), c2_size),
     ]
     for new, ref, size in pairs:
         assert new.order == K
@@ -404,7 +405,7 @@ def test_plateau_closed_form_is_the_walk(build, n, picture):
     for v in vs:
         x = np.concatenate([rng.uniform(-1, 1, off), v])
         for k in range(4):
-            closed = starprod._theta_matrix(th, x, k)
-            assert _same_bits(closed, starprod._theta_matrix(walked, x, k))
+            closed = poisson.theta_matrix(th, x, k)
+            assert _same_bits(closed, poisson.theta_matrix(walked, x, k))
             if 0.0 < np.linalg.norm(v) < 1.0:
-                assert not _same_bits(starprod._theta_matrix(wrong, x, k), closed)
+                assert not _same_bits(poisson.theta_matrix(wrong, x, k), closed)

@@ -238,7 +238,7 @@ def test_trust_report(sp4):
     # a nonstandard Theta or metric keeps the plateau under the scan
     skewed = general_vertical(poisson.build_ball_compact_theta(
         2, 2 * standard_symplectic(2), 1.0, 0.25), 2)
-    assert trust_report(CoherentState((0.0, 0.0, 0.1, 0.0), 2, 2, fiber_offset=2),
+    assert trust_report(CoherentState((0.0, 0.0, 0.1, 0.0), 2, 2),
                         skewed)["annulus"]
     squeezed = CoherentState((0.1, 0.0), 2, 2, metric_inv=np.diag([2.0, 0.5]))
     assert trust_report(squeezed, spv)["annulus"]
