@@ -148,13 +148,11 @@ def build_star(cfg: ExperimentConfig) -> StarProduct:
     if cfg.star_mode == "moyal_constant":
         return starprod.moyal_constant(cfg.n, Theta, cfg.N_lambda, "tm")
     if cfg.star_mode == "moyal_fiberwise":
-        fn = [[None] * cfg.n for _ in range(cfg.n)]
-        for i in range(cfg.n):
-            for j in range(cfg.n):
-                if Theta[i, j] != 0.0:
-                    fn[i][j] = sf.constant(Theta[i, j], cfg.n)
+        fn = [[sf.constant(t, cfg.n) if t else None for t in row] for row in Theta]
         return starprod.moyal_fiberwise(cfg.n, fn, cfg.N_lambda)
-    return starprod.general_vertical(build_theta(cfg), min(cfg.N_lambda, 2))
+    if cfg.N_lambda > 2:
+        raise ConfigError(f"general_vertical supports order <= 2, not {cfg.N_lambda}")
+    return starprod.general_vertical(build_theta(cfg), cfg.N_lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +358,15 @@ def cmd_pairs_demo(cfg: ExperimentConfig, args) -> int:
     noncommutative near the diagonal, exactly commutative beyond the support."""
     if cfg.theta.kind == "constant":
         cfg.theta.kind = "ball_compact"
-    theta = build_theta(cfg)
-    sp = starprod.general_vertical(theta, min(cfg.N_lambda, 2))
+    cfg.star_mode = "general_vertical"
+    sp = build_star(cfg)
     n = cfg.n
     # observables: the first coordinate of each of the two points
     f = sf.coordinate(0, 2 * n)
     g = sf.coordinate(n + 1 if n > 1 else n, 2 * n)
     direction = np.zeros(n)
     direction[0] = 1.0
-    R = theta.support_radius or (cfg.theta.r + cfg.theta.eps)
+    R = sp.theta.support_radius or (cfg.theta.r + cfg.theta.eps)
     seps = np.linspace(0.0, 2.2 * R, args.grid_points)
     rows = []
     for s in seps:

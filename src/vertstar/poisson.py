@@ -112,17 +112,13 @@ def wedge(X: VerticalMultivector, Y: VerticalMultivector) -> VerticalMultivector
     for I, f in X.components.items():
         for J, g in Y.components.items():
             _add_term(comps, I + J, f * g)
-    rad = _combine_radius(X.support_radius, Y.support_radius, "min")
+    rad = _combine_radius(X.support_radius, Y.support_radius)
     return VerticalMultivector(X.base_dim, X.degree + Y.degree, comps, rad, X.fiber_offset)
 
 
-def _combine_radius(a, b, how):
+def _combine_radius(a, b):
     vals = [r for r in (a, b) if r is not None]
-    if not vals:
-        return None
-    if how == "min":
-        return min(vals)
-    return max(vals) if len(vals) == 2 else None
+    return min(vals) if vals else None
 
 
 def schouten(X: VerticalMultivector, Y: VerticalMultivector) -> VerticalMultivector:
@@ -168,7 +164,7 @@ def schouten(X: VerticalMultivector, Y: VerticalMultivector) -> VerticalMultivec
                     for coef, idx in pieces:
                         total = coef if rest_coef is None else coef * rest_coef
                         _add_term(comps, [idx] + rest_idx, total * sign)
-    rad = _combine_radius(X.support_radius, Y.support_radius, "min")
+    rad = _combine_radius(X.support_radius, Y.support_radius)
     return VerticalMultivector(X.base_dim, X.degree + Y.degree - 1, comps, rad, X.fiber_offset)
 
 
@@ -284,14 +280,16 @@ def standard_symplectic(n: int) -> np.ndarray:
 
 
 def constant_theta(n: int, Theta) -> VerticalMultivector:
-    """Vertical lift of a constant bivector (fiberwise-constant model)."""
+    """Vertical lift of a constant bivector; its plateau is the whole fiber."""
     Theta = check_antisymmetric(Theta)
+    if Theta.shape != (n, n):
+        raise ValueError(f"Theta must be an {n} x {n} matrix")
     comps = {}
     for i in range(n):
         for j in range(i + 1, n):
             if Theta[i, j] != 0.0:
                 comps[(i, j)] = sf.constant(Theta[i, j], 2 * n)
-    return VerticalMultivector(n, 2, comps)
+    return VerticalMultivector(n, 2, comps, plateau=(math.inf, Theta))
 
 
 def lie_linear_theta(n: int, structure_constants) -> VerticalMultivector:

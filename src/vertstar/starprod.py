@@ -1,12 +1,13 @@
 """Vertical star products at finite order in the deformation parameter.
 
-Three modes:
-  * moyal_constant   - exact Weyl-Moyal product for a constant bivector,
-  * moyal_fiberwise  - Weyl-Moyal with a base-point-dependent constant-in-v
-                       bivector,
-  * general_vertical - order-<=2 product for a general vertical Poisson
-                       bivector, with Kontsevich's closed-form second-order
-                       operator.
+Every product carries one vertical Poisson bivector theta and one of two
+kernels:
+  * 'moyal'            - exact Weyl-Moyal product for theta constant in v:
+                         moyal_constant (constant Theta) and moyal_fiberwise
+                         (Theta depending on the base point),
+  * 'general_vertical' - order-<=2 product for a general vertical Poisson
+                         bivector, with Kontsevich's closed-form second-order
+                         operator.
 
 All products differentiate only fiber directions and are computed on jets in
 the n fiber variables (the base point, if any, is a constant of the jet walk),
@@ -17,7 +18,7 @@ values and derivative information for states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -25,9 +26,9 @@ import numpy as np
 from . import smoothfn as sf
 from .formal import FormalSeries
 from .jets import Jet, cauchy_product, jet_constant, multi_indices, n_coeffs, partials
-from .poisson import (VerticalMultivector, check_antisymmetric, jacobi_defect,
+from .poisson import (VerticalMultivector, constant_theta, jacobi_defect,
                       restrict_to_fiber, theta_matrix)
-from .smoothfn import SmoothMap, eval_jet, eval_jets, evaluate
+from .smoothfn import SmoothMap, eval_jet, evaluate
 
 # ---------------------------------------------------------------------------
 # doubled-jet machinery for Moyal modes
@@ -223,44 +224,41 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
 
 @dataclass(eq=False)
 class StarProduct:
-    """A star product of functions on its domain, the picture: 'tm' for
-    functions of (p, v), 'fiber' for functions of v.  It acts on jets in the
-    n fiber variables; F and G of star_jets are such jets."""
+    """A star product built from the vertical Poisson bivector theta: the
+    Weyl-Moyal product (mode 'moyal', theta constant in v) or the order-<=2
+    general vertical product (mode 'general_vertical').  Its domain, the
+    picture, is theta's: 'tm' for functions of (p, v), 'fiber' for functions
+    of v.  It acts on jets in the n fiber variables; F and G of star_jets are
+    such jets."""
 
     mode: str
-    n: int
     lambda_order: int
-    picture: str = "tm"
-    Theta: np.ndarray | None = None
-    Theta_fn: object = None
-    theta: VerticalMultivector | None = None
+    theta: VerticalMultivector
 
-    def _theta_at(self, x):
-        """Theta at the base point of x: the first n coordinates."""
-        if self.mode == "moyal_constant":
-            return self.Theta
-        p = np.asarray(x, dtype=float)[: self.n]
-        out = np.zeros((self.n, self.n))
-        ij = [(i, j) for i in range(self.n) for j in range(self.n)
-              if self.Theta_fn[i][j] is not None]
-        jets = eval_jets([self.Theta_fn[i][j] for i, j in ij], p, 0)
-        for (i, j), jet in zip(ij, jets):
-            out[i, j] = jet.value.real
-        return out
+    @property
+    def n(self) -> int:
+        return self.theta.base_dim
+
+    @property
+    def picture(self) -> str:
+        return "tm" if self.theta.fiber_offset > 0 else "fiber"
 
     def star_jets(self, F, G, x, out_orders):
         """Series of jets of F * G at x; F, G are lists of jets per order in
         the deformation parameter."""
         if len(out_orders) != self.lambda_order + 1:
             raise ValueError("out_orders must have lambda_order + 1 entries")
-        if len(x) != (2 * self.n if self.picture == "tm" else self.n):
+        if len(x) != self.theta.ambient_dim:
             raise ValueError(f"a point of length {len(x)} is not in the "
                              f"{self.picture!r} domain of n = {self.n}")
-        if self.mode in ("moyal_constant", "moyal_fiberwise"):
-            return _moyal_star_jets(self._theta_at(x), F, G, out_orders)
         if self.mode == "general_vertical":
             return _vertical_star_jets(self.theta, F, G, x, out_orders)
-        raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != "moyal":
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # theta is constant in v: Theta from the plateau, or from the base point
+        plateau = self.theta.plateau
+        Theta = plateau[1] if plateau else self.theta.matrix_at(x).real
+        return _moyal_star_jets(Theta, F, G, out_orders)
 
     def star_at(self, f: SmoothMap, g: SmoothMap, x) -> FormalSeries:
         """Pointwise star product as a formal series of complex values."""
@@ -272,27 +270,34 @@ class StarProduct:
 
     def restrict(self, p) -> "StarProduct":
         """The induced star product on the fiber over p."""
-        if self.picture == "fiber":
-            return self
-        if self.mode == "moyal_constant":
-            return StarProduct("moyal_constant", self.n, self.lambda_order,
-                               picture="fiber", Theta=self.Theta)
-        if self.mode == "moyal_fiberwise":
-            return StarProduct("moyal_constant", self.n, self.lambda_order,
-                               picture="fiber", Theta=self._theta_at(p))
-        return StarProduct("general_vertical", self.n, self.lambda_order,
-                           picture="fiber", theta=restrict_to_fiber(self.theta, p))
+        return replace(self, theta=restrict_to_fiber(self.theta, p))
 
 
 def moyal_constant(n: int, Theta, lambda_order: int, picture: str = "fiber") -> StarProduct:
-    return StarProduct("moyal_constant", n, lambda_order, picture=picture,
-                       Theta=check_antisymmetric(Theta))
+    """Weyl-Moyal product of a constant Theta on TM ('tm') or one fiber."""
+    if picture not in ("tm", "fiber"):
+        raise ValueError(f"unknown picture {picture!r}")
+    theta = constant_theta(n, Theta)
+    if picture == "fiber":
+        theta = restrict_to_fiber(theta, np.zeros(n))
+    return StarProduct("moyal", lambda_order, theta)
 
 
-def moyal_fiberwise(n: int, Theta_fn, lambda_order: int) -> StarProduct:
-    """Theta_fn[i][j]: SmoothMap in the base point p (None for zero), with
-    Theta_fn[j][i] implied by antisymmetry if given both must match."""
-    return StarProduct("moyal_fiberwise", n, lambda_order, picture="tm", Theta_fn=Theta_fn)
+def moyal_fiberwise(n: int, Theta_of_p, lambda_order: int) -> StarProduct:
+    """Weyl-Moyal product on the tangent bundle with Theta depending on the
+    base point: Theta_of_p[i][j] is a SmoothMap in p (None for zero).  Theta is
+    built from the upper triangle; an entry given only below the diagonal is
+    used negated."""
+    A = np.hstack([np.eye(n), np.zeros((n, n))])  # (p, v) -> p
+    comps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = Theta_of_p[i][j]
+            if f is None and Theta_of_p[j][i] is not None:
+                f = Theta_of_p[j][i] * (-1.0)
+            if f is not None:
+                comps[(i, j)] = sf.pullback_affine(f, A, np.zeros(n))
+    return StarProduct("moyal", lambda_order, VerticalMultivector(n, 2, comps))
 
 
 def general_vertical(theta: VerticalMultivector, lambda_order: int,
@@ -327,9 +332,7 @@ def general_vertical(theta: VerticalMultivector, lambda_order: int,
         defect = jacobi_defect(theta, jacobi_samples)
         if defect >= 1e-9:
             raise ValueError(f"theta is not Poisson: Jacobi defect {defect:.2e}")
-    picture = "tm" if theta.ambient_dim > theta.base_dim else "fiber"
-    return StarProduct("general_vertical", theta.base_dim, lambda_order,
-                       picture=picture, theta=theta)
+    return StarProduct("general_vertical", lambda_order, theta)
 
 
 # ---------------------------------------------------------------------------

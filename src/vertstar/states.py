@@ -192,41 +192,34 @@ class MixtureState:
 
 def trust_report(state: CoherentState, sp: StarProduct) -> dict:
     """Whether positivity of the coherent state is backed by theory or only by
-    scanning.
+    scanning, read from the product's theta.
 
-    Guaranteed for the constant-bivector product when (Theta, g) is the
-    standard compatible pair; for compactly supported structures it covers
-    bases outside the support and, for that pair, inside the plateau |v| < r
-    where theta = Theta; bases in the annulus are flagged for a mandatory scan.
+    Guaranteed at bases outside the support, where the state is classical,
+    and inside the plateau |v| < r, where theta = Theta (everywhere for a
+    constant theta), when (Theta, g) is the standard compatible pair; other
+    bases in the support of a compactly supported structure are flagged as
+    annulus for a mandatory scan.
     """
     report = {"guaranteed": False, "annulus": False, "scan_required": True}
     if not state.smearing:
         report["reason"] = "bare delta functionals are not positive"
         return report
-    identity_g = np.array_equal(state.metric_inv, np.eye(sp.n))
-    if sp.mode in ("moyal_constant", "moyal_fiberwise") and sp.Theta is not None:
-        if identity_g and np.array_equal(sp.Theta, standard_symplectic(sp.n)):
-            report.update(guaranteed=True, scan_required=False,
-                          reason="standard compatible (Theta, g) pair")
-            return report
-        report["reason"] = "nonstandard (Theta, g) pair; positivity is scan-verified only"
-        return report
     theta = sp.theta
-    if theta is not None and theta.support_radius is not None:
-        s = np.linalg.norm(state.base[-state.n:])
-        if s >= theta.support_radius:
-            report.update(guaranteed=True, scan_required=False,
-                          reason="base outside the support: classical state")
-        elif (theta.plateau and s < theta.plateau[0] and identity_g
-              and np.array_equal(theta.plateau[1], standard_symplectic(sp.n))):
-            report.update(guaranteed=True, scan_required=False,
-                          reason="plateau: standard compatible (Theta, g) pair")
-        else:
-            report.update(annulus=True,
-                          reason="base inside the support of a non-constant "
-                                 "structure: unverified by theory")
-        return report
-    report["reason"] = "general structure; positivity is scan-verified only"
+    s = np.linalg.norm(state.base[-state.n:])
+    if theta.support_radius is not None and s >= theta.support_radius:
+        report.update(guaranteed=True, scan_required=False,
+                      reason="base outside the support: classical state")
+    elif (theta.plateau and s < theta.plateau[0]
+          and np.array_equal(state.metric_inv, np.eye(sp.n))
+          and np.array_equal(theta.plateau[1], standard_symplectic(sp.n))):
+        report.update(guaranteed=True, scan_required=False,
+                      reason="plateau: standard compatible (Theta, g) pair")
+    elif theta.support_radius is not None:
+        report.update(annulus=True,
+                      reason="base inside the support of a non-constant "
+                             "structure: unverified by theory")
+    else:
+        report["reason"] = "general structure; positivity is scan-verified only"
     return report
 
 

@@ -202,6 +202,22 @@ def test_moyal_fiberwise_commands(tmp_path, capsys):
     assert json.loads(out)["variance"] == [[0.0, 0.0], [2.0, 0.0], [2.0, 0.0]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "positivity"], ["check", "uncertainty"], ["check", "all"],
+    ["check", "assoc"], ["distance", "--v", "0.1,0.1"], ["pairs-demo"],
+])
+def test_general_vertical_order_above_two_rejected(tmp_path, capsys, argv):
+    # the vertical product stops at lambda^2: a higher order is a config
+    # error, never a crash or a product of lower order
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 2, "star_mode": "general_vertical",
+                                "theta_spec": {"kind": "ball_compact"},
+                                "samples": {"count": 8}}))
+    code, out, err = run(argv + ["--config", str(path), "--order", "3"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("config error:")
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, vertstar.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

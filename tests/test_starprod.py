@@ -1,7 +1,7 @@
 """Star products: canonical commutators, associativity, structural symmetries,
 the closed-form order-2 operator, and the two-point (pair) picture."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +32,7 @@ from vertstar.starprod import (
     moyal_fiberwise,
     pair_picture_star,
 )
+from vertstar.states import CoherentState
 
 from conftest import random_poly
 
@@ -104,6 +105,70 @@ def test_moyal_fiberwise_theta_varies_with_base(rng):
         x = (p0, 0.3, 0.1, -0.2)
         comm = sp.star_at(v0, v1, x) - sp.star_at(v1, v0, x)
         assert comm.coeffs[1] == pytest.approx(1j * (1 + p0 ** 2))
+
+
+@pytest.mark.parametrize("given", ["upper", "lower", "both"])
+def test_moyal_fiberwise_reads_the_given_entries(given):
+    # Theta^{01} = 1, given above the diagonal, below it, or on both sides
+    n = 2
+    fn = [[None, None], [None, None]]
+    if given != "lower":
+        fn[0][1] = sf.constant(1.0, n)
+    if given != "upper":
+        fn[1][0] = sf.constant(-1.0, n)
+    sp = moyal_fiberwise(n, fn, 1)
+    v0, v1 = sf.coordinate(n, 2 * n), sf.coordinate(n + 1, 2 * n)
+    x = (0.3, -0.2, 0.1, 0.4)
+    comm = sp.star_at(v0, v1, x) - sp.star_at(v1, v0, x)
+    assert comm.coeffs == (0j, 1j)
+    f = v0 + v1 * 1j
+    assert check_hermitean(sp, [(f, f), (f, v1)], [x]) <= 1e-12
+
+
+def test_star_product_carries_one_theta():
+    assert [fl.name for fl in fields(starprod.StarProduct)] == [
+        "mode", "lambda_order", "theta"]
+    ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
+    fw = moyal_fiberwise(2, [[None, sf.constant(1.0, 2)], [None, None]], 2)
+    cases = [(moyal_constant(2, STD2, 2, picture="tm"), "moyal", "tm"),
+             (moyal_constant(2, STD2, 2), "moyal", "fiber"),
+             (fw, "moyal", "tm"),
+             (general_vertical(ball, 2), "general_vertical", "tm")]
+    for sp, mode, picture in cases:
+        assert (sp.mode, sp.n, sp.picture) == (mode, 2, picture)
+        spf = sp.restrict((0.3, -0.5))
+        assert (spf.mode, spf.n, spf.picture) == (mode, 2, "fiber")
+    assert moyal_constant(2, STD2, 2).theta.plateau[0] == np.inf
+    with pytest.raises(ValueError):
+        moyal_constant(2, STD4, 2)  # Theta of the wrong size
+    with pytest.raises(ValueError):
+        moyal_constant(2, STD2, 2, picture="pair")
+
+
+def test_moyal_path_bypasses_poisson(monkeypatch):
+    # the constant Moyal product reads Theta from theta's plateau: no theta
+    # array is built for any product, state or associativity check
+    def fail(*args, **kwargs):
+        raise AssertionError("theta array built on the Moyal path")
+
+    monkeypatch.setattr(poisson, "theta_matrix", fail)
+    monkeypatch.setattr(starprod, "theta_matrix", fail)
+    monkeypatch.setattr(poisson.VerticalMultivector, "matrix_at", fail)
+    tm = moyal_constant(2, STD2, 2, picture="tm")
+    fiber = moyal_constant(2, STD2, 2)
+    f = sf.polynomial({(0, 0, 2, 1): 1.0, (1, 0, 0, 1): 0.5}, 4)
+    g = sf.polynomial({(0, 0, 1, 2): -1.0, (0, 1, 1, 0): 2.0}, 4)
+    ff = sf.polynomial({(2, 1): 1.0, (0, 1): 0.5}, 2)
+    gf = sf.polynomial({(1, 2): -1.0, (1, 0): 2.0}, 2)
+    x = np.array([0.3, -0.2, 0.4, 0.8])
+    for sp, (u, w), pt in [(tm, (f, g), x), (fiber, (ff, gf), x[2:]),
+                           (tm.restrict(x[:2]), (ff, gf), x[2:]),
+                           (fiber.restrict(x[:2]), (ff, gf), x[2:])]:
+        s = sp.star_at(u, w, pt)
+        assert s.coeffs[0] == pytest.approx(evaluate(u, pt) * evaluate(w, pt))
+        assert np.max(associativity_defect(sp, u, w, u, [pt])) < 1e-12
+        var = CoherentState(pt, 2, 2).variance(sp, u)
+        assert var.coeffs[0] == 0
 
 
 def test_solve_C2_rejects_non_poisson():

@@ -7,7 +7,7 @@ import pytest
 from vertstar import poisson, smoothfn as sf
 from vertstar.formal import FormalSeries, is_formally_positive
 from vertstar.poisson import standard_symplectic
-from vertstar.starprod import general_vertical, moyal_constant
+from vertstar.starprod import general_vertical, moyal_constant, moyal_fiberwise
 from vertstar.states import (
     CoherentState,
     MixtureState,
@@ -242,6 +242,14 @@ def test_trust_report(sp4):
                         skewed)["annulus"]
     squeezed = CoherentState((0.1, 0.0), 2, 2, metric_inv=np.diag([2.0, 0.5]))
     assert trust_report(squeezed, spv)["annulus"]
+    # a constant theta is one plateau: its vertical product has the Moyal guarantee
+    rep = trust_report(st, general_vertical(poisson.constant_theta(4, STD4), 2))
+    assert rep["guaranteed"] and not rep["scan_required"]
+    assert rep["reason"].startswith("plateau")
+    # a base-dependent Theta has no plateau to vouch for it
+    fw = moyal_fiberwise(2, [[None, sf.constant(1.0, 2)], [None, None]], 2)
+    rep = trust_report(CoherentState((0.0,) * 4, 2, 2), fw)
+    assert rep["scan_required"] and not rep["guaranteed"] and not rep["annulus"]
 
 
 def test_metric_validation():
