@@ -11,8 +11,6 @@ from .poisson import (
     build_commuting_compact_theta,
     constant_theta,
     jacobi_defect,
-    schouten,
-    wedge,
 )
 from .smoothfn import SmoothMap, eval_jet, evaluate
 from .starprod import (
@@ -49,10 +47,8 @@ __all__ = [
     "moyal_constant",
     "moyal_fiberwise",
     "pair_picture_star",
-    "schouten",
     "series_constant",
     "series_lambda",
-    "wedge",
 ]
 
 __version__ = "0.1.0"

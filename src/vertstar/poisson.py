@@ -1,10 +1,11 @@
-"""Vertical multivector fields, the Schouten-Nijenhuis bracket, the HKR map,
-and constructors for compactly supported vertical Poisson structures.
+"""Vertical Poisson bivectors on the tangent bundle of flat n-space: the
+Jacobi check, the structural checks, and constructors for compactly
+supported vertical Poisson structures.
 
-A vertical multivector on the tangent bundle of flat n-space has components
-indexed by strictly increasing fiber-index tuples; each component is a
-SmoothMap in the 2n variables (p, v).  Restriction to a fiber freezes p and
-yields components in the n fiber variables alone.
+A vertical bivector theta has components theta^{ij}, i < j, over the fiber
+directions; each component is a SmoothMap in the 2n variables (p, v).
+Restriction to a fiber freezes p and yields components in the n fiber
+variables alone.
 """
 
 from __future__ import annotations
@@ -17,17 +18,16 @@ import numpy as np
 
 from . import smoothfn as sf
 from .jets import n_coeffs
-from .smoothfn import SmoothMap, eval_jet, eval_jets
+from .smoothfn import eval_jets
 
 
 @dataclass(eq=False)
 class VerticalMultivector:
-    """Antisymmetric contravariant tensor field differentiating only fiber
-    directions; stored over sorted fiber-index tuples."""
+    """Antisymmetric bivector field differentiating only fiber directions;
+    stored over the index pairs i < j."""
 
     base_dim: int
-    degree: int
-    components: dict  # sorted fiber-index tuple -> SmoothMap
+    components: dict  # fiber-index pair (i, j), i < j -> SmoothMap
     support_radius: float | None = None
     fiber_offset: int = field(default=-1)  # -1: defaults to base_dim (TM picture)
     plateau: tuple | None = None  # (radius, Theta): theta = Theta where |v| < radius
@@ -36,30 +36,15 @@ class VerticalMultivector:
         if self.fiber_offset < 0:
             self.fiber_offset = self.base_dim
         for key in self.components:
-            if list(key) != sorted(key) or len(set(key)) != len(key):
-                raise ValueError(f"component key {key} is not strictly increasing")
-            if len(key) != self.degree:
-                raise ValueError("component key length does not match degree")
+            if len(key) != 2 or not 0 <= key[0] < key[1] < self.base_dim:
+                raise ValueError(f"component key {key} is not a pair i < j < {self.base_dim}")
 
     @property
     def ambient_dim(self) -> int:
         return self.fiber_offset + self.base_dim
 
-    def component(self, key) -> SmoothMap | None:
-        """Component for an arbitrary index tuple, with antisymmetry sign;
-        None when zero."""
-        key = tuple(key)
-        if len(set(key)) != len(key):
-            return None
-        order = tuple(sorted(key))
-        f = self.components.get(order)
-        if f is None:
-            return None
-        sign = _perm_sign(key)
-        return f if sign == 1 else f * (-1.0)
-
     def matrix_at(self, x):
-        """Dense antisymmetric component array evaluated at a point (degree 2)."""
+        """Dense antisymmetric component array evaluated at a point."""
         return theta_matrix(self, x, 0)[..., 0]
 
 
@@ -84,107 +69,27 @@ def _values(X: VerticalMultivector, x) -> list:
     return [j.value for j in eval_jets(list(X.components.values()), x, 0)]
 
 
-def _perm_sign(key) -> int:
-    sign = 1
-    key = list(key)
-    for i in range(len(key)):
-        for j in range(i + 1, len(key)):
-            if key[i] > key[j]:
-                sign = -sign
-    return sign
-
-
-def _add_term(comps: dict, indices, coef: SmoothMap):
-    """Accumulate coef * d_{i1} ^ ... ^ d_{ik} into a component dict."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
-        return
-    sign = _perm_sign(indices)
-    key = tuple(sorted(indices))
-    term = coef if sign == 1 else coef * (-1.0)
-    comps[key] = term if key not in comps else comps[key] + term
-
-
-def wedge(X: VerticalMultivector, Y: VerticalMultivector) -> VerticalMultivector:
-    if X.base_dim != Y.base_dim or X.fiber_offset != Y.fiber_offset:
-        raise ValueError("multivector shape mismatch")
-    comps: dict = {}
-    for I, f in X.components.items():
-        for J, g in Y.components.items():
-            _add_term(comps, I + J, f * g)
-    rad = _combine_radius(X.support_radius, Y.support_radius)
-    return VerticalMultivector(X.base_dim, X.degree + Y.degree, comps, rad, X.fiber_offset)
-
-
-def _combine_radius(a, b):
-    vals = [r for r in (a, b) if r is not None]
-    return min(vals) if vals else None
-
-
-def schouten(X: VerticalMultivector, Y: VerticalMultivector) -> VerticalMultivector:
-    """Schouten-Nijenhuis bracket of two vertical multivectors (degrees >= 1).
-
-    Each component term f d_I is treated as the decomposable wedge
-    (f d_{i1}) ^ d_{i2} ^ ... and the bracket of decomposables is expanded
-    through pairwise Lie brackets of the factors.  Verticality is preserved:
-    all derivatives are fiber derivatives.
-    """
-    if X.base_dim != Y.base_dim or X.fiber_offset != Y.fiber_offset:
-        raise ValueError("multivector shape mismatch")
-    if X.degree < 1 or Y.degree < 1:
-        raise ValueError("schouten bracket implemented for degrees >= 1")
-    off = X.fiber_offset
-    comps: dict = {}
-    one = None  # marker for unit coefficient
-
-    def d(fn, i):
-        return sf.derivative(fn, off + i)
-
-    for I, fI in X.components.items():
-        for J, gJ in Y.components.items():
-            u = [(fI, I[0])] + [(one, i) for i in I[1:]]
-            v = [(gJ, J[0])] + [(one, j) for j in J[1:]]
-            for a, (fa, ia) in enumerate(u):
-                for b, (gb, jb) in enumerate(v):
-                    rest = u[:a] + u[a + 1:] + v[:b] + v[b + 1:]
-                    rest_coef = None
-                    for (cf, _i) in rest:
-                        if cf is not None:
-                            rest_coef = cf if rest_coef is None else rest_coef * cf
-                    rest_idx = [t[1] for t in rest]
-                    sign = (-1.0) ** (a + b)
-                    # [fa d_ia, gb d_jb] = fa (d_ia gb) d_jb - gb (d_jb fa) d_ia
-                    pieces = []
-                    if gb is not None:
-                        lead = d(gb, ia) if fa is None else fa * d(gb, ia)
-                        pieces.append((lead, jb))
-                    if fa is not None:
-                        lead = d(fa, jb) if gb is None else gb * d(fa, jb)
-                        pieces.append((lead * (-1.0), ia))
-                    for coef, idx in pieces:
-                        total = coef if rest_coef is None else coef * rest_coef
-                        _add_term(comps, [idx] + rest_idx, total * sign)
-    rad = _combine_radius(X.support_radius, Y.support_radius)
-    return VerticalMultivector(X.base_dim, X.degree + Y.degree - 1, comps, rad, X.fiber_offset)
-
-
 def jacobi_defect(theta: VerticalMultivector, samples) -> float:
     """Max pointwise magnitude of [[theta, theta]] over the sample points.
 
-    The bracket is taken from the cyclic formula
+    [[ , ]] is the Schouten-Nijenhuis bracket: the Lie bracket on vector
+    fields, extended to multivectors as a graded biderivation of the exterior
+    product; theta is Poisson iff [[theta, theta]] = 0 (Kontsevich,
+    arXiv:q-alg/9709040).  For theta = sum_{i<j} theta^{ij} d_i ^ d_j it is
+    sum_{i<j<k} [[theta, theta]]^{ijk} d_i ^ d_j ^ d_k with
 
         [[theta, theta]]^{ijk} = 2 (A^{ijk} + A^{jki} + A^{kij}),
         A^{ijk} = sum_l theta^{il} d_l theta^{jk},
 
-    with d_l the l-th fiber derivative.  The factor 2 is the normalization of
-    `schouten`, so the result is max |schouten(theta, theta)| over the
-    components i < j < k.  Each point takes the order-1 theta_matrix: one jet
-    walk of all the components, or none on the plateau, where dtheta = 0 and
-    the defect is exactly 0.  Raises ValueError on an empty sample set or a
-    point of the wrong dimension.
+    d_l the l-th fiber derivative.  The factor 2 makes the Jacobiator of
+    {f, g} = theta^{ij} d_i f d_j g half the bracket:
+    {f, {g, h}} + cyclic = (1/2) [[theta, theta]]^{ijk} d_i f d_j g d_k h,
+    summed over all i, j, k.  The result is the max of |[[theta, theta]]^{ijk}|
+    over i < j < k.  Each point takes the order-1 theta_matrix: one jet walk
+    of all the components, or none on the plateau, where dtheta = 0 and the
+    defect is exactly 0.  Raises ValueError on an empty sample set or a point
+    of the wrong dimension.
     """
-    if theta.degree != 2:
-        raise ValueError("jacobi_defect requires a bivector")
     points = [np.asarray(x, dtype=float) for x in samples]
     if not points:
         raise ValueError("jacobi_defect needs at least one sample point")
@@ -215,42 +120,7 @@ def restrict_to_fiber(X: VerticalMultivector, p) -> VerticalMultivector:
     A = np.vstack([np.zeros((n, n)), np.eye(n)])
     b = np.concatenate([p, np.zeros(n)])
     comps = {k: sf.pullback_affine(f, A, b) for k, f in X.components.items()}
-    return VerticalMultivector(n, X.degree, comps, X.support_radius, 0, X.plateau)
-
-
-def hkr(X: VerticalMultivector):
-    """HKR map: the multivector as the antisymmetric k-differential operator
-    (f_1, ..., f_k) -> (1/k!) <X, df_1 x ... x df_k>, fiber derivatives only.
-
-    Returns a callable (functions, point) -> value.
-    """
-    k = X.degree
-    if k < 1:
-        raise ValueError("hkr requires degree >= 1")
-    from itertools import permutations
-
-    def apply(fns, x):
-        if len(fns) != k:
-            raise ValueError(f"expected {k} functions")
-        grads = [eval_jet(f, x, 1, fiber=X.base_dim) for f in fns]
-        total = 0.0
-        for key, cval in zip(X.components, _values(X, x)):
-            for perm in permutations(range(k)):
-                sign = _perm_sign([key[q] for q in perm])
-                prod = cval * sign
-                for slot, q in enumerate(perm):
-                    prod *= grads[slot].deriv(key[q]).value
-                total += prod
-        return total / math.factorial(k)
-
-    return apply
-
-
-def poisson_bracket(theta: VerticalMultivector, f, g, x):
-    """{f, g} = <theta, df x dg> evaluated at a point."""
-    # the order-1 fiber jets hold the value, then the fiber gradient
-    df, dg = (eval_jet(h, x, 1, fiber=theta.base_dim).c[1:] for h in (f, g))
-    return df @ theta.matrix_at(x) @ dg
+    return VerticalMultivector(n, comps, X.support_radius, 0, X.plateau)
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +159,7 @@ def constant_theta(n: int, Theta) -> VerticalMultivector:
         for j in range(i + 1, n):
             if Theta[i, j] != 0.0:
                 comps[(i, j)] = sf.constant(Theta[i, j], 2 * n)
-    return VerticalMultivector(n, 2, comps, plateau=(math.inf, Theta))
-
-
-def lie_linear_theta(n: int, structure_constants) -> VerticalMultivector:
-    """Fiberwise-linear bivector theta^{ij} = c^{ij}_k v^k from structure
-    constants of a Lie algebra on the fiber."""
-    c = np.asarray(structure_constants, dtype=float)
-    comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms = {}
-            for k in range(n):
-                if c[i, j, k] != 0.0:
-                    m = [0] * (2 * n)
-                    m[n + k] = 1
-                    terms[tuple(m)] = c[i, j, k]
-            if terms:
-                comps[(i, j)] = sf.polynomial(terms, 2 * n)
-    return VerticalMultivector(n, 2, comps)
+    return VerticalMultivector(n, comps, plateau=(math.inf, Theta))
 
 
 def build_commuting_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivector:
@@ -323,7 +175,7 @@ def build_commuting_compact_theta(n: int, Theta, r: float, eps: float) -> Vertic
             if Theta[a, b] != 0.0:
                 comps[(a, b)] = (chis[a] * chis[b]) * Theta[a, b]
     radius = math.sqrt(2.0) * (r + eps) if n == 2 else None
-    return VerticalMultivector(n, 2, comps, support_radius=radius, plateau=(r, Theta))
+    return VerticalMultivector(n, comps, support_radius=radius, plateau=(r, Theta))
 
 
 def ball_frame_fields(n: int, r: float, eps: float) -> list:
@@ -368,7 +220,7 @@ def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMul
                     acc = term if acc is None else acc + term
             if acc is not None:
                 comps[(i, j)] = acc
-    return VerticalMultivector(n, 2, comps, support_radius=r + eps, plateau=(r, Theta))
+    return VerticalMultivector(n, comps, support_radius=r + eps, plateau=(r, Theta))
 
 
 def naive_scaled_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivector:
@@ -382,7 +234,7 @@ def naive_scaled_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivect
         for j in range(i + 1, n):
             if Theta[i, j] != 0.0:
                 comps[(i, j)] = chi * Theta[i, j]
-    return VerticalMultivector(n, 2, comps, support_radius=r + eps)
+    return VerticalMultivector(n, comps, support_radius=r + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +243,12 @@ def naive_scaled_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivect
 
 
 def fiber_samples(theta: VerticalMultivector, count: int, seed: int = 0,
-                  radius: float | None = None, base_box: float = 1.0):
+                  radius: float | None = None):
     """Seeded uniform sample points in the ambient space of theta, with the
-    fiber part in the cube of half-width R, and the last tenth of them in a
-    band straddling the sphere of radius R, so that the transition annulus of
-    a compactly supported theta is always reached."""
+    base part in the cube [-1, 1]^n, the fiber part in the cube of half-width
+    R, and the last tenth of them in a band straddling the sphere of radius
+    R, so that the transition annulus of a compactly supported theta is
+    always reached."""
     n = theta.base_dim
     dim = theta.ambient_dim
     R = radius if radius is not None else (theta.support_radius or 1.0)
@@ -405,7 +258,7 @@ def fiber_samples(theta: VerticalMultivector, count: int, seed: int = 0,
     for k, row in enumerate(pts):
         x = np.zeros(dim)
         if theta.fiber_offset > 0:
-            x[:n] = (2 * row[:n] - 1) * base_box
+            x[:n] = 2 * row[:n] - 1
         v = 2 * row[theta.fiber_offset:] - 1
         if k >= count - n_boundary:
             nv = np.linalg.norm(v) or 1.0
@@ -443,19 +296,3 @@ def check_support(theta: VerticalMultivector, samples) -> float:
             worst = max(worst, abs(jet.value))
     return worst
 
-
-def check_rotation_invariance(theta: VerticalMultivector, samples, rotations) -> float:
-    """Max violation of R^* theta = theta, i.e. R^T theta(p, R v) R = theta(p, v)."""
-    off = theta.fiber_offset
-    n = theta.base_dim
-    worst = 0.0
-    for R in rotations:
-        R = np.asarray(R, dtype=float)
-        for x in samples:
-            x = np.asarray(x, dtype=float)
-            y = x.copy()
-            y[off:] = R @ x[off:]
-            m_x = theta.matrix_at(x).real
-            m_Ry = theta.matrix_at(y).real
-            worst = max(worst, float(np.max(np.abs(R.T @ m_Ry @ R - m_x))))
-    return worst

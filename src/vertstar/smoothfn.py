@@ -310,13 +310,6 @@ def ball_ramp(dim: int, axes, r: float, eps: float) -> SmoothMap:
     return radial_profile(BallRampElem(r, eps), norm_squared(dim, axes), axes)
 
 
-def derivative(f: SmoothMap, i: int) -> SmoothMap:
-    """Lazy partial derivative node; evaluated through jets."""
-    if not 0 <= i < f.dim:
-        raise ValueError("derivative index out of range")
-    return SmoothMap(f.dim, "deriv", (f,), payload=i, support=f.support)
-
-
 def conjugate(f: SmoothMap) -> SmoothMap:
     if f.kind == "const":
         return SmoothMap(f.dim, "const", payload=np.conj(f.payload))
@@ -375,8 +368,8 @@ class _Env:
     """A coordinate environment of one jet walk: the point x and the jets its
     coordinates take.  `memo` holds the jets of the nodes evaluated in it,
     keyed by id (every node is alive for the walk); `derived` holds the
-    environments made from it for affine and derivative nodes, keyed by
-    content, so all the nodes that need one share its memo."""
+    environments made from it for affine nodes, keyed by content, so all the
+    nodes that need one share its memo."""
 
     def __init__(self, x: tuple, order: int, fiber: int | None = None, coords=None):
         self.x = x
@@ -419,20 +412,11 @@ class _Env:
                                      ref.order, coords=coords)
         return self.derived[key]
 
-    def raised(self) -> "_Env":
-        """Plain coordinates, all of them variables, one order higher at the
-        point x, for a derivative node."""
-        if "deriv" not in self.derived:
-            self.derived["deriv"] = _Env(self.x, self.coords[0].order + 1)
-        return self.derived["deriv"]
-
     def substitute(self, j: Jet) -> Jet:
         """A jet in plain coordinates at x, all of them variables, as a jet in
         the variables of this environment: its Taylor polynomial at the
         coordinate jets shifted to x."""
         ref = self.coords[0]
-        if self.plain and ref.dim == j.dim:
-            return j
         if self.monomials is None:
             # row m: the jet of prod_i (coords[i] - value_i)^(m_i), |m| <= order
             shifted = [c - c.value for c in self.coords]
@@ -487,8 +471,6 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
     elif k == "uni":
         inner = _eval_jet(f.children[0], env)
         out = jet_compose_univariate(f.payload.taylor(inner.value, inner.order), inner)
-    elif k == "deriv":
-        out = env.substitute(_eval_jet(f.children[0], env.raised()).deriv(f.payload))
     else:
         raise ValueError(f"unknown node kind {k!r}")
     memo[id(f)] = out

@@ -297,7 +297,7 @@ def moyal_fiberwise(n: int, Theta_of_p, lambda_order: int) -> StarProduct:
                 f = Theta_of_p[j][i] * (-1.0)
             if f is not None:
                 comps[(i, j)] = sf.pullback_affine(f, A, np.zeros(n))
-    return StarProduct("moyal", lambda_order, VerticalMultivector(n, 2, comps))
+    return StarProduct("moyal", lambda_order, VerticalMultivector(n, comps))
 
 
 def general_vertical(theta: VerticalMultivector, lambda_order: int,
