@@ -111,9 +111,6 @@ class Jet:
             fact *= math.factorial(a)
         return fact * self.c[index_lookup(self.dim, self.order)[alpha]]
 
-    def coeff(self, alpha) -> complex:
-        return self.c[index_lookup(self.dim, self.order)[tuple(alpha)]]
-
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")

@@ -178,48 +178,31 @@ def build_commuting_compact_theta(n: int, Theta, r: float, eps: float) -> Vertic
     return VerticalMultivector(n, comps, support_radius=radius, plateau=(r, Theta))
 
 
-def ball_frame_fields(n: int, r: float, eps: float) -> list:
-    """Pairwise commuting vector-field components supported in the closed
-    fiber ball of radius r + eps, equal to the coordinate frame at v = 0.
-
-    Returns X[a][i]: SmoothMap on (p, v) for the i-th component of X_a.
-    """
+def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivector:
+    """theta = (1/2) Theta^{ab} X_a ^ X_b for the commuting frame
+    X_a = B e_a + M (v . e_a) v supported in the fiber ball of radius r + eps
+    (the pushforward of the coordinate frame along a radial diffeomorphism
+    onto the open ball, extended by zero), with B and M the profiles of
+    BumpSqElem and BallRampElem in |v|^2.  The matrix X = B I + M v v^T is
+    symmetric, so with w = Theta v the trees are the closed form
+        theta = X Theta X = B^2 Theta + B M (w v^T - v w^T);
+    its M^2 term M^2 v^i v^j (v^T Theta v) is 0, as Theta is antisymmetric."""
+    Theta = check_antisymmetric(Theta)
     dim = 2 * n
     axes = tuple(range(n, dim))
     q = sf.norm_squared(dim, axes)
     B = sf.radial_profile(sf.BumpSqElem(r, eps), q, axes)
     M = sf.radial_profile(sf.BallRampElem(r, eps), q, axes)
+    BB, BM = B * B, B * M
     vs = [sf.coordinate(n + i, dim) for i in range(n)]
-    fields = []
-    for a in range(n):
-        row = []
-        for i in range(n):
-            comp = M * (vs[a] * vs[i])
-            if i == a:
-                comp = comp + B
-            row.append(comp)
-        fields.append(row)
-    return fields
-
-
-def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMultivector:
-    """theta = (1/2) Theta^{ab} X_a ^ X_b with a commuting frame supported in
-    the fiber ball of radius r + eps (pushforward of the coordinate frame
-    along a radial diffeomorphism onto the open ball, extended by zero)."""
-    Theta = check_antisymmetric(Theta)
-    X = ball_frame_fields(n, r, eps)
+    zero = sf.constant(0.0, dim)
+    rows = [[vs[k] * Theta[i, k] for k in np.flatnonzero(Theta[i])] for i in range(n)]
+    w = [sum(terms[1:], terms[0]) if terms else zero for terms in rows]
     comps = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = None
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if Theta[a, b] == 0.0:
-                        continue
-                    term = (X[a][i] * X[b][j] - X[a][j] * X[b][i]) * Theta[a, b]
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                comps[(i, j)] = acc
+    for i, j in combinations(range(n), 2):
+        if w[i] is not zero or w[j] is not zero:  # else theta^{ij} = 0
+            comp = BM * (w[i] * vs[j] - vs[i] * w[j])
+            comps[(i, j)] = comp if Theta[i, j] == 0.0 else BB * Theta[i, j] + comp
     return VerticalMultivector(n, comps, support_radius=r + eps, plateau=(r, Theta))
 
 

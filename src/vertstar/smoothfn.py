@@ -305,11 +305,6 @@ def radial_bump(dim: int, axes, r: float, eps: float) -> SmoothMap:
     return radial_profile(BumpSqElem(r, eps), norm_squared(dim, axes), axes)
 
 
-def ball_ramp(dim: int, axes, r: float, eps: float) -> SmoothMap:
-    axes = tuple(axes)
-    return radial_profile(BallRampElem(r, eps), norm_squared(dim, axes), axes)
-
-
 def conjugate(f: SmoothMap) -> SmoothMap:
     if f.kind == "const":
         return SmoothMap(f.dim, "const", payload=np.conj(f.payload))

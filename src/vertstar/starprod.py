@@ -235,6 +235,11 @@ class StarProduct:
     lambda_order: int
     theta: VerticalMultivector
 
+    def __post_init__(self):
+        if self.mode == "moyal" and not _constant_in_v(self.theta):
+            raise ValueError("mode 'moyal' needs a theta constant in v; "
+                             "use 'general_vertical' for a varying one")
+
     @property
     def n(self) -> int:
         return self.theta.base_dim
@@ -269,8 +274,23 @@ class StarProduct:
         return FormalSeries(N, tuple(j.value for j in jets))
 
     def restrict(self, p) -> "StarProduct":
-        """The induced star product on the fiber over p."""
-        return replace(self, theta=restrict_to_fiber(self.theta, p))
+        """The induced star product on the fiber over p; for mode 'moyal' the
+        constant Moyal product of Theta(p), read once."""
+        theta = restrict_to_fiber(self.theta, p)
+        if self.mode == "moyal" and not theta.plateau:
+            Theta = theta.matrix_at(np.zeros(self.n)).real
+            return moyal_constant(self.n, Theta, self.lambda_order)
+        return replace(self, theta=theta)
+
+
+def _constant_in_v(theta: VerticalMultivector) -> bool:
+    """Whether theta is constant in v: it has an infinite plateau, or every
+    component is an affine pullback that reads no fiber coordinate (as
+    moyal_fiberwise builds them)."""
+    if theta.plateau and theta.plateau[0] == math.inf:
+        return True
+    return all(f.kind == "affine" and not f.payload[0][:, theta.fiber_offset:].any()
+               for f in theta.components.values())
 
 
 def moyal_constant(n: int, Theta, lambda_order: int, picture: str = "fiber") -> StarProduct:

@@ -15,6 +15,7 @@ from vertstar.poisson import (
     VerticalMultivector,
     build_ball_compact_theta,
     build_commuting_compact_theta,
+    check_antisymmetric,
     check_flip_even,
     check_support,
     constant_theta,
@@ -325,3 +326,97 @@ def test_jacobi_defect_on_the_plateau_takes_no_walk(build, n, monkeypatch):
 
     monkeypatch.setattr(poisson, "eval_jets", no_walk)
     assert jacobi_defect(th, inside) == 0.0
+
+
+def ball_frame_fields(n: int, r: float, eps: float) -> list:
+    """Pairwise commuting vector-field components supported in the closed
+    fiber ball of radius r + eps, equal to the coordinate frame at v = 0.
+
+    Returns X[a][i]: SmoothMap on (p, v) for the i-th component of X_a.
+    """
+    dim = 2 * n
+    axes = tuple(range(n, dim))
+    q = sf.norm_squared(dim, axes)
+    B = sf.radial_profile(sf.BumpSqElem(r, eps), q, axes)
+    M = sf.radial_profile(sf.BallRampElem(r, eps), q, axes)
+    vs = [sf.coordinate(n + i, dim) for i in range(n)]
+    fields = []
+    for a in range(n):
+        row = []
+        for i in range(n):
+            comp = M * (vs[a] * vs[i])
+            if i == a:
+                comp = comp + B
+            row.append(comp)
+        fields.append(row)
+    return fields
+
+
+def frame_product_theta(n: int, Theta, r: float, eps: float):
+    """Reference for build_ball_compact_theta: theta multiplied out from the
+    frame, theta^{ij} = sum_{a<b} Theta^{ab} (X_a^i X_b^j - X_a^j X_b^i), with
+    a component wherever Theta != 0.  Also returns, per component, the
+    products X_a^i X_b^j and X_a^j X_b^i with their weights |Theta^{ab}|."""
+    Theta = check_antisymmetric(Theta)
+    X = ball_frame_fields(n, r, eps)
+    comps, terms = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc, terms[(i, j)] = None, []
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if Theta[a, b] == 0.0:
+                        continue
+                    left, right = X[a][i] * X[b][j], X[a][j] * X[b][i]
+                    term = (left - right) * Theta[a, b]
+                    acc = term if acc is None else acc + term
+                    terms[(i, j)] += [(abs(Theta[a, b]), left), (abs(Theta[a, b]), right)]
+            if acc is not None:
+                comps[(i, j)] = acc
+    return VerticalMultivector(n, comps, support_radius=r + eps, plateau=(r, Theta)), terms
+
+
+ONE_PAIR4 = np.zeros((4, 4))
+ONE_PAIR4[0, 1], ONE_PAIR4[1, 0] = 0.7, -0.7
+_DENSE3 = np.random.default_rng(3).uniform(-1, 1, (3, 3))
+BALL_THETAS = {"std2": STD2, "dense3": _DENSE3 - _DENSE3.T, "std4": STD4,
+               "dense4": GENERIC4, "one_pair4": ONE_PAIR4}
+# fiber radii per region of the ball theta with r = 1, eps = 0.25; the two
+# edges sit on a coordinate axis, where |v| is exactly the radius
+FRAME_REGIONS = {"plateau": (0.0, 0.99), "at r": (1.0, 1.0), "annulus": (1.01, 1.24),
+                 "at r + eps": (1.25, 1.25), "outside": (1.26, 2.0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BALL_THETAS)), st.sampled_from(["tm", "fiber"]),
+       st.sampled_from(sorted(FRAME_REGIONS)), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_ball_theta_closed_form_matches_frame_product(name, picture, region, order, seed):
+    # the closed form B^2 Theta + B M (w v^T - v w^T) against the frame
+    # product: bit for bit where B and M are exact (on the plateau, at r and
+    # beyond the support), and within the rounding of the frame product's
+    # summed term sizes in the annulus; a component the closed form leaves
+    # out must vanish there too
+    Theta = BALL_THETAS[name]
+    n = len(Theta)
+    th = build_ball_compact_theta(n, Theta, 1.0, 0.25)
+    ref, terms = frame_product_theta(n, Theta, 1.0, 0.25)
+    assert set(th.components) <= set(ref.components)
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-1, 1, n)
+    d = np.eye(n)[rng.integers(n)] if region.startswith("at") else rng.normal(size=n)
+    v = d * (rng.uniform(*FRAME_REGIONS[region]) / np.linalg.norm(d))
+    x = np.concatenate([p, v])  # the terms are taken on TM in both pictures
+    pt = x
+    if picture == "fiber":
+        th, ref, pt = restrict_to_fiber(th, p), restrict_to_fiber(ref, p), v
+    new = dict(zip(th.components, eval_jets(list(th.components.values()), pt, order, fiber=n)))
+    old = eval_jets(list(ref.components.values()), pt, order, fiber=n)
+    for key, jet in zip(ref.components, old):
+        got = new[key].c if key in new else np.zeros_like(jet.c)
+        if region == "annulus":
+            weights, fns = zip(*terms[key])
+            jets = eval_jets(list(fns), x, order, fiber=n)
+            size = sum(w * np.abs(j.c) for w, j in zip(weights, jets))
+            assert np.all(np.abs(got - jet.c) <= 1e-13 * np.maximum(1.0, size))
+        else:
+            assert got.tobytes() == jet.c.tobytes()

@@ -14,6 +14,7 @@ from vertstar.poisson import (
     build_ball_compact_theta,
     build_commuting_compact_theta,
     constant_theta,
+    naive_scaled_theta,
     restrict_to_fiber,
     standard_symplectic,
 )
@@ -143,6 +144,52 @@ def test_star_product_carries_one_theta():
         moyal_constant(2, STD4, 2)  # Theta of the wrong size
     with pytest.raises(ValueError):
         moyal_constant(2, STD2, 2, picture="pair")
+
+
+def test_moyal_mode_rejects_a_theta_varying_in_v():
+    # the restricted ball theta read i lam for [v^0, v^1] at v = (1.2, 0),
+    # outside its support; an affine pullback that reads v is not constant
+    ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
+    reads_v = sf.pullback_affine(sf.coordinate(0, 2), np.hstack([np.zeros((2, 2)), np.eye(2)]),
+                                 np.zeros(2))
+    for theta in (restrict_to_fiber(ball, np.zeros(2)), ball,
+                  naive_scaled_theta(2, STD2, 1.0, 0.25),
+                  poisson.VerticalMultivector(2, {(0, 1): reads_v})):
+        with pytest.raises(ValueError, match="constant in v"):
+            starprod.StarProduct("moyal", 1, theta)
+    # every constructor's product, and its restriction, is accepted
+    fw = moyal_fiberwise(2, [[None, sf.coordinate(0, 2) + 2.0], [None, None]], 2)
+    for sp in (moyal_constant(2, STD2, 2, picture="tm"), moyal_constant(2, STD2, 2), fw,
+               general_vertical(ball, 2)):
+        for spx in (sp, sp.restrict((0.3, -0.5))):
+            assert replace(spx).mode == sp.mode
+
+
+def test_restricted_fiberwise_product_is_constant_moyal(monkeypatch):
+    # restriction reads Theta(p) once; the fiber product is the constant
+    # Moyal product of it, equal to the product on TM at (p, v), and its
+    # star_jets walk no theta
+    fw = moyal_fiberwise(2, [[None, sf.coordinate(0, 2) + 2.0], [None, None]], 2)
+    p, v = np.array([0.3, -0.5]), np.array([0.4, 0.8])
+    spf = fw.restrict(p)
+    assert spf.theta.plateau[0] == np.inf
+    assert np.array_equal(spf.theta.plateau[1], [[0.0, 2.3], [-2.3, 0.0]])
+    f = sf.polynomial({(2, 1): 1.0, (0, 1): 0.5}, 2)
+    g = sf.polynomial({(1, 2): -1.0, (1, 0): 2.0}, 2)
+    F, G = [eval_jet(f, v, 2)], [eval_jet(g, v, 2)]
+    lift = np.hstack([np.zeros((2, 2)), np.eye(2)])  # (p, v) -> v
+    x = np.concatenate([p, v])
+    Ftm, Gtm = ([eval_jet(sf.pullback_affine(h, lift, np.zeros(2)), x, 2, fiber=2)]
+                for h in (f, g))
+    ref = fw.star_jets(Ftm, Gtm, x, [0, 0, 0])
+
+    def fail(*args, **kwargs):
+        raise AssertionError("theta walked by a restricted Moyal product")
+
+    monkeypatch.setattr(poisson, "eval_jets", fail)
+    monkeypatch.setattr(sf, "eval_jets", fail)
+    out = spf.star_jets(F, G, v, [0, 0, 0])
+    assert [j.c.tolist() for j in out] == [j.c.tolist() for j in ref]
 
 
 def test_moyal_path_bypasses_poisson(monkeypatch):
