@@ -234,8 +234,8 @@ def cmd_distance(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _random_fiber_polys(cfg, rng, count, degree=3, dim=None, offset=None):
-    dim = dim if dim is not None else 2 * cfg.n
+def _random_fiber_polys(cfg, rng, count, degree=3, offset=None):
+    dim = 2 * cfg.n
     offset = offset if offset is not None else cfg.n
     out = []
     for _ in range(count):
@@ -272,14 +272,8 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
     elif which == "vertical":
         sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, cfg.sample_count)
-        base_polys = _random_fiber_polys(cfg, rng, cfg.sample_count,
-                                         dim=2 * cfg.n, offset=0)
-        # restrict the partner to base-only monomials
-        us = []
-        for p in base_polys:
-            coeffs = {m: c for m, c in p.payload.items()
-                      if all(m[cfg.n + i] == 0 for i in range(cfg.n))}
-            us.append(sf.polynomial(coeffs or {(0,) * (2 * cfg.n): 1.0}, 2 * cfg.n))
+        # the partners: polynomials in the base coordinates alone
+        us = _random_fiber_polys(cfg, rng, cfg.sample_count, offset=0)
         pts = rng.uniform(-1, 1, (min(cfg.sample_count, 20), 2 * cfg.n))
         defect = starprod.check_verticality(sp, list(zip(fs, us)), pts)
     elif which == "flip":

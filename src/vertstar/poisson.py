@@ -51,11 +51,16 @@ class VerticalMultivector:
 def theta_matrix(theta: VerticalMultivector, x, order: int) -> np.ndarray:
     """Antisymmetric [n, n, c] array of the coefficients of the component
     jets at x in the n fiber variables (zeros where a component is absent),
-    from one walk of all the components, or in closed form where the fiber
-    part of x is inside theta's plateau."""
+    from one walk of all the components.  No walk is made where the fiber
+    norm s of x settles it: the array is exactly 0 for s >= theta's support
+    radius, and the closed form of theta's plateau for s below its radius.
+    A NaN point meets neither test, so it is walked and the NaN propagates."""
     n, comps = theta.base_dim, theta.components
     m = np.zeros((n, n, n_coeffs(n, order)), dtype=complex)
-    if theta.plateau and np.linalg.norm(np.asarray(x)[theta.fiber_offset:]) < theta.plateau[0]:
+    s = np.linalg.norm(np.asarray(x)[theta.fiber_offset:])
+    if theta.support_radius is not None and s >= theta.support_radius:
+        return m
+    if theta.plateau and s < theta.plateau[0]:
         m[..., 0] = theta.plateau[1]
         return m
     for (i, j), jet in zip(comps, eval_jets(list(comps.values()), x, order, fiber=n)):
@@ -264,18 +269,18 @@ def check_flip_even(theta: VerticalMultivector, samples) -> float:
 
 
 def check_support(theta: VerticalMultivector, samples) -> float:
-    """Max component magnitude at samples outside the declared radius, with
-    the node-level support metadata stripped so that no node is pruned."""
+    """Max component magnitude at samples outside theta's declared support
+    radius, the radius beyond which theta_matrix returns zeros without a
+    walk.  The components are walked here, so a radius set too small shows."""
     if theta.support_radius is None:
         raise ValueError("theta declares no support radius")
     off = theta.fiber_offset
-    fns = sf.strip_support(list(theta.components.values()))
     worst = 0.0
     for x in samples:
         v = np.asarray(x, dtype=float)[off:]
         if np.linalg.norm(v) < theta.support_radius:
             continue
-        for jet in eval_jets(fns, x, 0):
-            worst = max(worst, abs(jet.value))
+        for value in _values(theta, x):
+            worst = max(worst, abs(value))
     return worst
 

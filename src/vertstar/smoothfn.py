@@ -1,15 +1,13 @@
 """Smooth functions as expression trees, evaluable on points and on jets.
 
 A SmoothMap is an immutable tree; evaluation on a point and jet evaluation at
-a point share the same recursion.  Declared support metadata (vanishing beyond
-a ball in designated axes) is set by constructors and propagated, never
-inferred.
+a point share the same recursion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -164,24 +162,17 @@ class BallRampElem(_Profile):
 
 @dataclass(frozen=True, eq=False)
 class SmoothMap:
-    """Expression tree for a smooth function on R^dim.
-
-    support: optional (axes, radius) meaning the function vanishes identically
-    whenever the Euclidean norm of the listed coordinates is >= radius.
-    """
+    """Expression tree for a smooth function on R^dim."""
 
     dim: int
     kind: str
     children: tuple = ()
     payload: object = None
-    support: tuple | None = None
 
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_map(other, self.dim)
-        sup = _sum_support(self.support, other.support)
-        return SmoothMap(self.dim, "sum", (self, other), support=sup)
+        return SmoothMap(self.dim, "sum", (self, _as_map(other, self.dim)))
 
     __radd__ = __add__
 
@@ -196,14 +187,13 @@ class SmoothMap:
 
     def __mul__(self, other):
         if not isinstance(other, SmoothMap):
-            return SmoothMap(self.dim, "scale", (self,), payload=other, support=self.support)
-        sup = _product_support(self.support, other.support)
-        return SmoothMap(self.dim, "prod", (self, other), support=sup)
+            return SmoothMap(self.dim, "scale", (self,), payload=other)
+        return SmoothMap(self.dim, "prod", (self, other))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return SmoothMap(self.dim, "power", (self,), payload=int(k), support=self.support if k > 0 else None)
+        return SmoothMap(self.dim, "power", (self,), payload=int(k))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -215,26 +205,6 @@ def _as_map(v, dim):
     if isinstance(v, SmoothMap):
         return v
     return constant(v, dim)
-
-
-def _sum_support(a, b):
-    if a is None or b is None:
-        return None
-    if a[0] == b[0]:
-        return (a[0], max(a[1], b[1]))
-    return None
-
-
-def _product_support(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] == b[0]:
-        return (a[0], min(a[1], b[1]))
-    if not set(a[0]) & set(b[0]):
-        return (tuple(sorted(a[0] + b[0])), math.hypot(a[1], b[1]))
-    return a if a[1] <= b[1] else b
 
 
 # -- constructors -----------------------------------------------------------
@@ -277,10 +247,7 @@ def exp_of(f: SmoothMap) -> SmoothMap:
 
 def bump_of(f: SmoothMap, r: float, eps: float) -> SmoothMap:
     """chi(f(x)) with chi the even flat bump (1 on [-r, r], 0 beyond r+eps)."""
-    sup = None
-    if f.kind == "coord":
-        sup = ((f.payload,), r + eps)
-    return SmoothMap(f.dim, "uni", (f,), payload=BumpElem(r, eps), support=sup)
+    return SmoothMap(f.dim, "uni", (f,), payload=BumpElem(r, eps))
 
 
 def norm_squared(dim: int, axes) -> SmoothMap:
@@ -293,15 +260,14 @@ def norm_squared(dim: int, axes) -> SmoothMap:
 
 def radial_profile(elem: _Profile, q: SmoothMap, axes) -> SmoothMap:
     """elem(q) for q = norm_squared(dim, axes) and a profile element in
-    u = |v|^2 (BumpSqElem or BallRampElem), supported in radius r + eps over
-    the axes.  Profiles built on one q node share its evaluation in a walk."""
-    return SmoothMap(q.dim, "uni", (q,), payload=elem, support=(tuple(axes), elem.r + elem.eps))
+    u = |v|^2 (BumpSqElem or BallRampElem).  Profiles built on one q node
+    share its evaluation in a walk."""
+    return SmoothMap(q.dim, "uni", (q,), payload=elem)
 
 
 def radial_bump(dim: int, axes, r: float, eps: float) -> SmoothMap:
     """Bump in the Euclidean norm over the listed axes: 1 inside radius r,
     0 outside radius r + eps."""
-    axes = tuple(axes)
     return radial_profile(BumpSqElem(r, eps), norm_squared(dim, axes), axes)
 
 
@@ -312,11 +278,11 @@ def conjugate(f: SmoothMap) -> SmoothMap:
         return SmoothMap(f.dim, "poly", payload={k: np.conj(v) for k, v in f.payload.items()})
     if f.kind == "scale":
         return SmoothMap(f.dim, "scale", (conjugate(f.children[0]),),
-                         payload=np.conj(f.payload), support=f.support)
+                         payload=np.conj(f.payload))
     if not f.children:
         return f
     return SmoothMap(f.dim, f.kind, tuple(conjugate(c) for c in f.children),
-                     payload=f.payload, support=f.support)
+                     payload=f.payload)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -330,19 +296,6 @@ def evaluate(f: SmoothMap, x):
 def eval_jet(f: SmoothMap, x, order: int, fiber: int | None = None) -> Jet:
     """Jet of f at x to the given order (see eval_jets for `fiber`)."""
     return eval_jets([f], x, order, fiber)[0]
-
-
-def strip_support(fs) -> list:
-    """The maps rebuilt without support metadata, so a walk evaluates every
-    node; subtrees the maps share stay shared."""
-    done: dict = {}
-
-    def strip(f):
-        if id(f) not in done:
-            done[id(f)] = replace(f, children=tuple(strip(c) for c in f.children), support=None)
-        return done[id(f)]
-
-    return [strip(f) for f in fs]
 
 
 def eval_jets(fs, x, order: int, fiber: int | None = None) -> list:
@@ -380,20 +333,7 @@ class _Env:
         self.coords = coords
         self.memo: dict = {}
         self.derived: dict = {}
-        self.norms: dict = {}  # support axes -> squared norm of the point over them
         self.monomials = None  # see substitute
-
-    def beyond(self, support) -> bool:
-        """Whether the point has norm >= radius over the axes of an (axes,
-        radius) support, where the node and, by continuity, all its
-        derivatives vanish.  A NaN point is never beyond."""
-        axes, radius = support
-        if axes not in self.norms:
-            u = 0.0
-            for i in axes:  # added in order, as a norm_squared node adds them
-                u += self.coords[i].value.real ** 2
-            self.norms[axes] = u
-        return self.norms[axes] >= radius * radius
 
     def pullback(self, A: np.ndarray, b: np.ndarray) -> "_Env":
         key = (A.shape, A.tobytes(), b.tobytes())
@@ -431,9 +371,7 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
     k = f.kind
     coords = env.coords
     ref = coords[0]
-    if f.support is not None and env.beyond(f.support):
-        out = jet_constant(0.0, ref.base, ref.dim, ref.order)
-    elif k == "coord":
+    if k == "coord":
         out = coords[f.payload]
     elif k == "const":
         out = jet_constant(f.payload, ref.base, ref.dim, ref.order)

@@ -190,8 +190,6 @@ def _c2_jet(th: np.ndarray, fjet: Jet, gjet: Jet, K: int) -> Jet:
 
 def _vertical_star_jets(theta, F, G, x, out_orders):
     N = len(out_orders) - 1
-    if N > 2:
-        raise ValueError("general vertical star products support order <= 2 only")
     base, dim = F[0].base, F[0].dim
     # theta enters C_1 at the output order K and C_2 (from t = 2) at K + 1
     th_order = max((K + (t == 2) for t, K in enumerate(out_orders) if t > 0), default=0)
@@ -236,6 +234,10 @@ class StarProduct:
     theta: VerticalMultivector
 
     def __post_init__(self):
+        if self.mode not in ("moyal", "general_vertical"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "general_vertical" and self.lambda_order > 2:
+            raise ValueError("general vertical star products support order <= 2 only")
         if self.mode == "moyal" and not _constant_in_v(self.theta):
             raise ValueError("mode 'moyal' needs a theta constant in v; "
                              "use 'general_vertical' for a varying one")
@@ -258,8 +260,6 @@ class StarProduct:
                              f"{self.picture!r} domain of n = {self.n}")
         if self.mode == "general_vertical":
             return _vertical_star_jets(self.theta, F, G, x, out_orders)
-        if self.mode != "moyal":
-            raise ValueError(f"unknown mode {self.mode!r}")
         # theta is constant in v: Theta from the plateau, or from the base point
         plateau = self.theta.plateau
         Theta = plateau[1] if plateau else self.theta.matrix_at(x).real
@@ -346,13 +346,12 @@ def general_vertical(theta: VerticalMultivector, lambda_order: int,
     With jacobi_samples, theta is first checked to be Poisson there, and a
     ValueError is raised when the Jacobi defect reaches 1e-9.
     """
-    if lambda_order > 2:
-        raise ValueError("general vertical star products support order <= 2 only")
+    sp = StarProduct("general_vertical", lambda_order, theta)
     if jacobi_samples is not None:
         defect = jacobi_defect(theta, jacobi_samples)
         if defect >= 1e-9:
             raise ValueError(f"theta is not Poisson: Jacobi defect {defect:.2e}")
-    return StarProduct("general_vertical", lambda_order, theta)
+    return sp
 
 
 # ---------------------------------------------------------------------------

@@ -138,16 +138,15 @@ def test_flip_and_support_checks():
 
 
 def test_check_support_does_not_trust_node_metadata():
-    # the node claims to vanish beyond |v| = 0.5, but its bump reaches 1.25:
-    # the pruned walk reads 0 at |v| = 0.8, check_support sees the true 1
-    axes = (2, 3)
-    bump = sf.radial_bump(4, axes, 1.0, 0.25)
-    understated = sf.SmoothMap(4, "scale", (bump,), payload=1.0, support=(axes, 0.5))
-    th = VerticalMultivector(2, {(0, 1): understated}, support_radius=0.5)
+    # theta claims to vanish beyond |v| = 0.5, but its bumps reach 1.25:
+    # theta_matrix trusts the radius and reads 0 at |v| = 0.8, check_support
+    # walks the components and sees the true value
+    ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
+    understated = replace(ball, support_radius=0.5)
     x = np.array([0.1, -0.2, 0.8, 0.0])
-    assert evaluate(understated, x) == 0.0
-    assert check_support(th, [x]) == 1.0
-    assert check_support(restrict_to_fiber(th, x[:2]), [x[2:]]) == 1.0
+    for th, y in ((understated, x), (restrict_to_fiber(understated, x[:2]), x[2:])):
+        assert not poisson.theta_matrix(th, y, 0).any()
+        assert check_support(th, [y]) == abs(ball.matrix_at(x)[0, 1]) == 1.0
 
 
 def test_wrong_degree_raises():

@@ -116,7 +116,6 @@ def test_radial_bump_in_two_axes():
     assert evaluate(f, (0.0, 1.2, 1.2)) == 0.0      # norm ~1.7 > 1.5
     inside = evaluate(f, (0.0, 0.9, 0.0))
     assert inside == 1.0
-    assert f.support == ((1, 2), 1.5)
 
 
 def test_conjugate():
@@ -124,14 +123,6 @@ def test_conjugate():
     fc = sf.conjugate(f)
     x = (0.4, -0.3)
     assert evaluate(fc, x) == pytest.approx(np.conj(evaluate(f, x)))
-
-
-def test_support_propagation():
-    chi = sf.radial_bump(2, (0, 1), 1.0, 0.5)
-    f = sf.coordinate(0, 2)
-    assert (chi * f).support == ((0, 1), 1.5)
-    assert (chi + chi).support == ((0, 1), 1.5)
-    assert (chi + f).support is None
 
 
 def test_ball_ramp_vanishes_off_annulus():
@@ -286,60 +277,6 @@ def test_evaluate_is_the_value_of_every_jet(name, region, k, coords):
     v *= RADII[region] / np.linalg.norm(v)
     for f, jet in zip(fns, eval_jets(fns, x, k)):
         assert evaluate(f, x) == jet.value
-
-
-# fiber radii for the pruning property: a region, or an exact radius on a
-# coordinate axis (there |v| is exactly the radius), one ulp either side of
-# r + eps included
-PRUNE_RADII = {"plateau": 0.6, "annulus": 1.1, "outside": 1.4,
-               "axis r + eps": R + EPS, "axis r + eps - ulp": np.nextafter(R + EPS, 0.0),
-               "axis r + eps + ulp": np.nextafter(R + EPS, 2.0)}
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.sampled_from(VALUE_TREES), st.sampled_from(sorted(PRUNE_RADII) + ["nan"]),
-       st.integers(0, 3), st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
-def test_support_pruning_matches_the_full_walk(name, region, k, coords):
-    # a node beyond its declared support takes the zero jet without a walk;
-    # that must be the jet the whole walk computes (equal up to signed zeros)
-    fns, off = value_tree(name)
-    x = np.array(coords[:fns[0].dim])
-    v = x[off:]
-    if region.startswith("axis"):
-        v[:] = 0.0
-        v[int(abs(coords[0]) * 7.99) % len(v)] = PRUNE_RADII[region]
-    elif region == "nan":
-        v[0] = np.nan  # a NaN point is never pruned, so NaN propagates
-    else:
-        assume(np.linalg.norm(v) > 1e-3)
-        v *= PRUNE_RADII[region] / np.linalg.norm(v)
-    with np.errstate(invalid="ignore"):
-        pruned = eval_jets(fns, x, k)
-        full = eval_jets(sf.strip_support(fns), x, k)
-    for a, b in zip(pruned, full):
-        assert np.array_equal(a.c, b.c, equal_nan=region == "nan")
-    if region == "nan":
-        assert any(np.isnan(j.value) for j in pruned)
-
-
-def test_strip_support_keeps_shared_subtrees():
-    fns, _ = value_tree("ball3")
-    stripped = sf.strip_support(fns)
-
-    def nodes(f, out):
-        if id(f) not in out:
-            out[id(f)] = f
-            for c in f.children:
-                nodes(c, out)
-        return out
-
-    before, after = {}, {}
-    for f, g in zip(fns, stripped):
-        nodes(f, before)
-        nodes(g, after)
-    assert len(after) == len(before)
-    assert all(g.support is None for g in after.values())
-    assert any(f.support is not None for f in before.values())
 
 
 def _fiber_indices(dim, n, order):

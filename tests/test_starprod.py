@@ -146,6 +146,18 @@ def test_star_product_carries_one_theta():
         moyal_constant(2, STD2, 2, picture="pair")
 
 
+def test_star_product_is_validated_at_construction():
+    # an unknown mode and a general vertical order above 2 fail when the
+    # product is made, not at its first use
+    ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
+    with pytest.raises(ValueError, match="unknown mode"):
+        starprod.StarProduct("bogus", 1, ball)
+    for make in (lambda: starprod.StarProduct("general_vertical", 3, ball),
+                 lambda: general_vertical(ball, 3)):
+        with pytest.raises(ValueError, match="order <= 2"):
+            make()
+
+
 def test_moyal_mode_rejects_a_theta_varying_in_v():
     # the restricted ball theta read i lam for [v^0, v^1] at v = (1.2, 0),
     # outside its support; an affine pullback that reads v is not constant
@@ -493,31 +505,43 @@ def _same_bits(a, b):
     return (a + 0).tobytes() == (b + 0).tobytes()
 
 
-@pytest.mark.parametrize("build", [build_ball_compact_theta, build_commuting_compact_theta])
+@pytest.mark.parametrize("build", [build_ball_compact_theta, build_commuting_compact_theta,
+                                   naive_scaled_theta])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("picture", ["tm", "fiber"])
 def test_plateau_closed_form_is_the_walk(build, n, picture):
     # strictly inside |v| < r the theta array is taken in closed form from
-    # theta.plateau; it must be the walk's array bit for bit
+    # theta.plateau, and at |v| >= theta.support_radius it is 0 with no walk;
+    # both must be the walk's array bit for bit
     rng = np.random.default_rng(n)
     Theta = rng.uniform(-1, 1, (n, n))
     th = build(n, Theta - Theta.T, 1.0, 0.25)
     if picture == "fiber":
         th = restrict_to_fiber(th, np.linspace(-0.5, 0.5, n))
-    walked = replace(th, plateau=None)
+    walked = replace(th, plateau=None, support_radius=None)
     off = th.fiber_offset
     # on a coordinate axis |v| is exactly the radius: one ulp inside, at and
-    # one ulp outside r, then |v| = 0 and random plateau points
+    # one ulp outside r and r + eps, then |v| = 0, random plateau points and
+    # random points outside the support
     axis = np.eye(n)[rng.integers(n)]
-    vs = [rho * axis for rho in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.0)]
-    for rho in rng.uniform(0.0, 0.99, 6):
+    radii = sorted({1.0, 1.25, th.support_radius or 1.25})
+    vs = [rho * axis for r in radii for rho in (np.nextafter(r, 0.0), r, np.nextafter(r, 2.0))]
+    vs.append(0.0 * axis)
+    for rho in np.concatenate([rng.uniform(0.0, 0.99, 6), rng.uniform(1.25, 3.0, 4)]):
         d = rng.normal(size=n)
         vs.append(rho * d / np.linalg.norm(d))
-    wrong = replace(th, plateau=(1.0, 1.001 * th.plateau[1]))
+    wrong = th.plateau and replace(th, plateau=(1.0, 1.001 * th.plateau[1]))
     for v in vs:
         x = np.concatenate([rng.uniform(-1, 1, off), v])
         for k in range(4):
             closed = poisson.theta_matrix(th, x, k)
             assert _same_bits(closed, poisson.theta_matrix(walked, x, k))
-            if 0.0 < np.linalg.norm(v) < 1.0:
+            if wrong and 0.0 < np.linalg.norm(v) < 1.0:
                 assert not _same_bits(poisson.theta_matrix(wrong, x, k), closed)
+    # a NaN point meets neither shortcut: it is walked, and the NaN propagates
+    x = np.concatenate([rng.uniform(-1, 1, off), np.full(n, np.nan)])
+    with np.errstate(invalid="ignore"):
+        for k in range(3):
+            closed = poisson.theta_matrix(th, x, k)
+            assert np.isnan(closed).any()
+            assert np.array_equal(closed, poisson.theta_matrix(walked, x, k), equal_nan=True)
