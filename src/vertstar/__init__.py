@@ -3,7 +3,7 @@ jet arithmetic, vertical Poisson structures, vertical star products, and
 deformed (coherent) states, truncated at finite order in the deformation
 parameter."""
 
-from .formal import FormalSeries, is_formally_positive, series_constant, series_lambda
+from .formal import FormalSeries, is_formally_positive
 from .jets import Jet, jet_constant, jet_variable
 from .poisson import (
     VerticalMultivector,
@@ -47,8 +47,6 @@ __all__ = [
     "moyal_constant",
     "moyal_fiberwise",
     "pair_picture_star",
-    "series_constant",
-    "series_lambda",
 ]
 
 __version__ = "0.1.0"

@@ -67,18 +67,6 @@ class FormalSeries:
         return FormalSeries(self.order, tuple(np.real(a) for a in self.coeffs))
 
 
-def series_constant(value, order: int) -> FormalSeries:
-    return FormalSeries(order, (complex(value),) + (0j,) * order)
-
-
-def series_lambda(order: int) -> FormalSeries:
-    """The series representing the deformation parameter itself."""
-    coeffs = [0j] * (order + 1)
-    if order >= 1:
-        coeffs[1] = 1.0 + 0j
-    return FormalSeries(order, tuple(coeffs))
-
-
 def is_formally_positive(a: FormalSeries, tol: float = ZERO_TOL) -> str:
     """Sign of the lowest non-vanishing coefficient: 'positive', 'zero' or
     'negative'.  Coefficients must be (numerically) real."""

@@ -196,18 +196,3 @@ def jet_compose_univariate(outer_taylor, inner: Jet) -> Jet:
         out = out * h + outer[k]
     return out
 
-
-def jet_laplacian(j: Jet, metric_inv) -> Jet:
-    """g^{ik} d_i d_k applied to a jet; result is two orders lower."""
-    g = np.asarray(metric_inv)
-    n = g.shape[0]
-    out = None
-    for i in range(n):
-        for k in range(n):
-            if g[i, k] == 0:
-                continue
-            term = j.deriv(i).deriv(k) * g[i, k]
-            out = term if out is None else out + term
-    if out is None:
-        out = jet_constant(0.0, j.base, j.dim, j.order - 2)
-    return out

@@ -194,10 +194,9 @@ def build_ball_compact_theta(n: int, Theta, r: float, eps: float) -> VerticalMul
     its M^2 term M^2 v^i v^j (v^T Theta v) is 0, as Theta is antisymmetric."""
     Theta = check_antisymmetric(Theta)
     dim = 2 * n
-    axes = tuple(range(n, dim))
-    q = sf.norm_squared(dim, axes)
-    B = sf.radial_profile(sf.BumpSqElem(r, eps), q, axes)
-    M = sf.radial_profile(sf.BallRampElem(r, eps), q, axes)
+    q = sf.norm_squared(dim, range(n, dim))
+    B = sf.radial_profile(sf.BumpSqElem(r, eps), q)
+    M = sf.radial_profile(sf.BallRampElem(r, eps), q)
     BB, BM = B * B, B * M
     vs = [sf.coordinate(n + i, dim) for i in range(n)]
     zero = sf.constant(0.0, dim)

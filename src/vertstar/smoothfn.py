@@ -192,9 +192,6 @@ class SmoothMap:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        return SmoothMap(self.dim, "power", (self,), payload=int(k))
-
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x):
@@ -258,7 +255,7 @@ def norm_squared(dim: int, axes) -> SmoothMap:
     return quadratic_form(A)
 
 
-def radial_profile(elem: _Profile, q: SmoothMap, axes) -> SmoothMap:
+def radial_profile(elem: _Profile, q: SmoothMap) -> SmoothMap:
     """elem(q) for q = norm_squared(dim, axes) and a profile element in
     u = |v|^2 (BumpSqElem or BallRampElem).  Profiles built on one q node
     share its evaluation in a walk."""
@@ -268,7 +265,7 @@ def radial_profile(elem: _Profile, q: SmoothMap, axes) -> SmoothMap:
 def radial_bump(dim: int, axes, r: float, eps: float) -> SmoothMap:
     """Bump in the Euclidean norm over the listed axes: 1 inside radius r,
     0 outside radius r + eps."""
-    return radial_profile(BumpSqElem(r, eps), norm_squared(dim, axes), axes)
+    return radial_profile(BumpSqElem(r, eps), norm_squared(dim, axes))
 
 
 def conjugate(f: SmoothMap) -> SmoothMap:
@@ -381,8 +378,6 @@ def _eval_jet(f: SmoothMap, env: _Env) -> Jet:
         out = _eval_jet(f.children[0], env) * _eval_jet(f.children[1], env)
     elif k == "scale":
         out = _eval_jet(f.children[0], env) * f.payload
-    elif k == "power":
-        out = _eval_jet(f.children[0], env) ** f.payload
     elif k == "quad":
         A = f.payload
         n = A.shape[0]

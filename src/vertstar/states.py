@@ -4,19 +4,22 @@ light-cone observables on noncommutative Minkowski space.
 
 The canonical state over a point is the heat-smeared evaluation
 omega = delta_v o exp(lambda Delta_g / 4), truncated at the working order in
-lambda; the bare delta (no smearing) is kept around as the standard
-non-positive counterexample.
+lambda: omega(f) = E[f(v + sqrt(lambda) Y)] with Y ~ N(0, g/2).  On jets it is
+one fixed linear functional, the vector of Gaussian moments mu_alpha =
+E[Y^alpha], built once per state.  The bare delta (no smearing) is kept around
+as the standard non-positive counterexample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import smoothfn as sf
 from .formal import ZERO_TOL, FormalSeries, is_formally_positive
-from .jets import Jet, jet_constant, jet_laplacian, multi_indices
+from .jets import jet_compose_univariate, jet_constant, multi_indices, n_coeffs
 from .poisson import standard_symplectic
 from .smoothfn import SmoothMap, eval_jet
 from .starprod import StarProduct
@@ -42,32 +45,33 @@ class CoherentState:
             self.metric_inv = np.eye(self.n)
         self.metric_inv = np.asarray(self.metric_inv, dtype=float)
         g = self.metric_inv
+        if g.shape != (self.n, self.n):
+            raise ValueError(f"metric_inv must be an n x n matrix, n = {self.n}")
         if not np.allclose(g, g.T) or np.any(np.linalg.eigvalsh(g) <= 0):
             raise ValueError("metric_inv must be symmetric positive definite")
+        self._moments = _gaussian_moments(g, 2 * self.order)
 
     # -- expectation ---------------------------------------------------------
 
     def expect_jets(self, H) -> FormalSeries:
         """Expectation of a series of jets at `base`; coefficient r collects
-        (1/k! 4^k) Delta_g^k applied to H_{r-k}; the jets are in the n fiber
-        variables."""
+        sum_{|alpha| = 2k} c_alpha mu_alpha of H_{r-k}, the degree-2k block
+        of its coefficients against the Gaussian moments (k = 0 alone for the
+        bare delta); the jets are in the n fiber variables."""
         N = self.order
+        mu = self._moments
         out = [0j] * (N + 1)
         for s, jet in enumerate(H):
             if s > N or jet is None:
                 continue
-            cur = jet
-            k = 0
-            fact = 1.0
-            while True:
-                out[s + k] += cur.value / fact
-                k += 1
-                if s + k > N or not self.smearing:
-                    break
-                if cur.order < 2:
-                    raise ValueError("jet order insufficient for the smearing order")
-                fact *= 4.0 * k
-                cur = jet_laplacian(cur, self.metric_inv)
+            if jet.dim != self.n:
+                raise ValueError(f"jet has {jet.dim} variables, the state has n = {self.n}")
+            top = N - s if self.smearing else 0
+            if jet.order < 2 * top:
+                raise ValueError("jet order insufficient for the smearing order")
+            for k in range(top + 1):
+                lo, hi = n_coeffs(self.n, 2 * k - 1), n_coeffs(self.n, 2 * k)
+                out[s + k] += jet.c[lo:hi] @ mu[lo:hi]
         return FormalSeries(N, tuple(out))
 
     def expect(self, f: SmoothMap) -> FormalSeries:
@@ -147,47 +151,17 @@ def bare_delta(base, n: int, order: int, metric_inv=None) -> CoherentState:
     return CoherentState(base, n, order, metric_inv=metric_inv, smearing=False)
 
 
-@dataclass(eq=False)
-class MixtureState:
-    """Finite convex combination of point states (a discrete base measure)."""
-
-    states: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if len(w) != len(self.states) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be a convex combination")
-        orders = {s.order for s in self.states}
-        if len(orders) != 1:
-            raise ValueError("component states must share the truncation order")
-        self.weights = tuple(float(x) for x in w)
-
-    @property
-    def order(self) -> int:
-        return self.states[0].order
-
-    def expect(self, f: SmoothMap) -> FormalSeries:
-        out = None
-        for w, s in zip(self.weights, self.states):
-            term = s.expect(f) * w
-            out = term if out is None else out + term
-        return out
-
-    def star_expect(self, sp: StarProduct, f: SmoothMap, g: SmoothMap) -> FormalSeries:
-        out = None
-        for w, s in zip(self.weights, self.states):
-            term = s.star_expect(sp, f, g) * w
-            out = term if out is None else out + term
-        return out
-
-    def variance(self, sp: StarProduct, f: SmoothMap) -> FormalSeries:
-        m = self.expect(f)
-        out = None
-        for w, s in zip(self.weights, self.states):
-            term = s.central_second_moment(sp, f, m) * w
-            out = term if out is None else out + term
-        return out
+def _gaussian_moments(g, order: int) -> np.ndarray:
+    """E[Y^alpha] for Y ~ N(0, g/2) at every |alpha| <= order, in the graded
+    order of multi_indices: alpha! [xi^alpha] exp(xi^T g xi / 4)."""
+    n = g.shape[0]
+    q = jet_constant(0.0, (0.0,) * n, n, order)
+    if order >= 2:  # the degree-2 block lists xi_i xi_k, i <= k, row by row
+        i, k = np.triu_indices(n)
+        q.c[n + 1:n_coeffs(n, 2)] = np.where(i == k, 0.25, 0.5) * g[i, k]
+    e = jet_compose_univariate([1.0 / math.factorial(k) for k in range(order + 1)], q)
+    fact = [math.prod(map(math.factorial, a)) for a in multi_indices(n, order)]
+    return e.c.real * fact
 
 
 def trust_report(state: CoherentState, sp: StarProduct) -> dict:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vertstar import smoothfn as sf
+from vertstar.jets import Jet, jet_constant
 
 
 def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
@@ -17,6 +18,22 @@ def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
             c = c + 1j * rng.uniform(-1, 1)
         coeffs[tuple(m)] = coeffs.get(tuple(m), 0.0) + c
     return sf.polynomial(coeffs, dim)
+
+
+def jet_laplacian(j: Jet, metric_inv) -> Jet:
+    """g^{ik} d_i d_k applied to a jet; result is two orders lower."""
+    g = np.asarray(metric_inv)
+    n = g.shape[0]
+    out = None
+    for i in range(n):
+        for k in range(n):
+            if g[i, k] == 0:
+                continue
+            term = j.deriv(i).deriv(k) * g[i, k]
+            out = term if out is None else out + term
+    if out is None:
+        out = jet_constant(0.0, j.base, j.dim, j.order - 2)
+    return out
 
 
 @pytest.fixture

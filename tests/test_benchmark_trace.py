@@ -1,9 +1,10 @@
 """The traced benchmark path runs against the current sources.
 
 A traced run does what an end-to-end run does, and perfbench/tracing.py also
-patches modules, lru_cache tables and Jet methods of vertstar by name.  One
-short traced worker per in-process workload must exit 0 with every op and the
-control check passing."""
+patches modules, lru_cache tables and Jet methods of vertstar by name; the
+cli-check workload does so through perfbench/clitrace.py in each fresh
+interpreter.  One short traced worker per workload must exit 0 with every op
+and the control check passing."""
 
 import json
 import os
@@ -17,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["jacobi-ball", "moyal-assoc", "coherent-vertical"])
+@pytest.mark.parametrize("workload", ["jacobi-ball", "moyal-assoc", "coherent-vertical",
+                                      "cli-check"])
 def test_traced_benchmark_worker_runs(workload, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertstar.formal import (
-    FormalSeries,
-    is_formally_positive,
-    series_constant,
-    series_lambda,
-)
+from vertstar.formal import FormalSeries, is_formally_positive
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False)
 # zero, or far enough from ZERO_TOL that no product crosses it: nearer the
@@ -41,9 +36,10 @@ def test_substitute():
 
 
 def test_lambda_is_positive():
-    assert is_formally_positive(series_lambda(3)) == "positive"
-    assert is_formally_positive(series_constant(0.0, 3)) == "zero"
-    assert is_formally_positive(-series_lambda(3)) == "negative"
+    lam = FormalSeries(3, (0j, 1 + 0j, 0j, 0j))
+    assert is_formally_positive(lam) == "positive"
+    assert is_formally_positive(FormalSeries(3, (0j,) * 4)) == "zero"
+    assert is_formally_positive(-lam) == "negative"
 
 
 def test_lowest_coefficient_decides():
@@ -85,6 +81,6 @@ def test_positivity_respects_ring_operations(a, b):
 
 
 def test_scalar_mixing():
-    a = series_lambda(2)
+    a = FormalSeries(2, (0j, 1 + 0j, 0j))
     assert (2.0 * a).coeffs == (0j, 2.0 + 0j, 0j)
     assert (a + 1.0).coeffs[0] == 1.0 + 0j

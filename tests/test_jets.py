@@ -13,11 +13,12 @@ from vertstar.jets import (
     cauchy_product,
     jet_compose_univariate,
     jet_constant,
-    jet_laplacian,
     jet_variable,
     multi_indices,
     n_coeffs,
 )
+
+from conftest import jet_laplacian
 
 
 def random_jet(rng, dim, order, base=None):

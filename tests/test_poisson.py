@@ -270,8 +270,8 @@ def test_ball_frame_shares_one_norm_squared(monkeypatch):
     # which each profile builds its own
     shared = sf.radial_profile
 
-    def separate(elem, q, axes):
-        return shared(elem, sf.norm_squared(q.dim, axes), axes)
+    def separate(elem, q):
+        return shared(elem, sf.quadratic_form(q.payload))
 
     def build(base):
         th = build_ball_compact_theta(4, STD4, 1.0, 0.25)
@@ -336,8 +336,8 @@ def ball_frame_fields(n: int, r: float, eps: float) -> list:
     dim = 2 * n
     axes = tuple(range(n, dim))
     q = sf.norm_squared(dim, axes)
-    B = sf.radial_profile(sf.BumpSqElem(r, eps), q, axes)
-    M = sf.radial_profile(sf.BallRampElem(r, eps), q, axes)
+    B = sf.radial_profile(sf.BumpSqElem(r, eps), q)
+    M = sf.radial_profile(sf.BallRampElem(r, eps), q)
     vs = [sf.coordinate(n + i, dim) for i in range(n)]
     fields = []
     for a in range(n):

@@ -126,7 +126,7 @@ def test_conjugate():
 
 
 def test_ball_ramp_vanishes_off_annulus():
-    m = sf.radial_profile(sf.BallRampElem(1.0, 0.25), sf.norm_squared(2, (0, 1)), (0, 1))
+    m = sf.radial_profile(sf.BallRampElem(1.0, 0.25), sf.norm_squared(2, (0, 1)))
     assert evaluate(m, (0.5, 0.5)) == 0.0
     assert evaluate(m, (1.0, 1.0)) == 0.0
     mid = evaluate(m, (1.1, 0.0))

@@ -3,14 +3,16 @@ light-cone observables."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from vertstar import poisson, smoothfn as sf
 from vertstar.formal import FormalSeries, is_formally_positive
+from vertstar.jets import Jet, n_coeffs
 from vertstar.poisson import standard_symplectic
 from vertstar.starprod import general_vertical, moyal_constant, moyal_fiberwise
 from vertstar.states import (
     CoherentState,
-    MixtureState,
     QuadraticObservable,
     bare_delta,
     causal_class,
@@ -22,7 +24,7 @@ from vertstar.states import (
     trust_report,
 )
 
-from conftest import random_poly
+from conftest import jet_laplacian, random_poly
 
 STD4 = standard_symplectic(4)
 
@@ -166,22 +168,6 @@ def test_classicality_outside_support():
         assert lhs.coeffs == rhs.coeffs  # exact, not approximate
 
 
-def test_mixture_state_convexity(sp4, rng):
-    s1 = CoherentState((0.1, 0.0, 0.0, 0.0), 4, 2)
-    s2 = CoherentState((0.0, 0.4, 0.0, 0.0), 4, 2)
-    mix = MixtureState((s1, s2), (0.25, 0.75))
-    f = random_poly(rng, 4)
-    lhs = mix.expect(f)
-    rhs = s1.expect(f) * 0.25 + s2.expect(f) * 0.75
-    assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-14)
-    # mixing never decreases the variance below the blend of variances
-    gap = mix.variance(sp4, f) - (s1.variance(sp4, f) * 0.25
-                                  + s2.variance(sp4, f) * 0.75)
-    assert is_formally_positive(gap.real(), tol=1e-10) in ("positive", "zero")
-    with pytest.raises(ValueError):
-        MixtureState((s1, s2), (0.5, 0.2))
-
-
 def test_classical_limit_order_zero():
     st = CoherentState((0.7, 0.1, 0.0, 0.0), 4, 0)
     f = lorentz_square(4)
@@ -255,3 +241,67 @@ def test_trust_report(sp4):
 def test_metric_validation():
     with pytest.raises(ValueError):
         CoherentState((0.0, 0.0), 2, 2, metric_inv=[[1.0, 0.0], [0.0, -1.0]])
+    for m in (3, 5):  # the moments would be those of another dimension
+        with pytest.raises(ValueError, match="n x n"):
+            CoherentState((0.0,) * 4, 4, 1, metric_inv=np.eye(m))
+
+
+def iterated_expect(state, H):
+    """omega(H) as sum_k Delta_g^k H_s(base) / (k! 4^k) by iterated Laplacians,
+    the reference for the Gaussian moments of expect_jets."""
+    N = state.order
+    out = [0j] * (N + 1)
+    for s, jet in enumerate(H):
+        cur, fact = jet, 1.0
+        for k in range(N - s + 1 if state.smearing else 1):
+            if k:
+                fact *= 4.0 * k
+                cur = jet_laplacian(cur, state.metric_inv)
+            out[s + k] += cur.value / fact
+    return out
+
+
+def random_jets(rng, n, orders):
+    return [Jet(n, K, (0.0,) * n, rng.uniform(-1, 1, n_coeffs(n, K))
+                + 1j * rng.uniform(-1, 1, n_coeffs(n, K))) for K in orders]
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.integers(1, 4), hst.integers(0, 3),
+       hst.sampled_from(["identity", "diagonal", "full"]), hst.booleans(), hst.integers(0, 1),
+       hst.integers(0, 2 ** 32 - 1))
+def test_expect_jets_matches_iterated_laplacian(n, N, metric, smearing, extra, seed):
+    rng = np.random.default_rng(seed)
+    if metric == "identity":
+        g = np.eye(n)
+    elif metric == "diagonal":
+        g = np.diag(rng.uniform(0.2, 3.0, n))
+    else:
+        A = rng.normal(size=(n, n))
+        g = A @ A.T + 0.2 * np.eye(n)
+    state = CoherentState(rng.uniform(-1, 1, n), n, N, metric_inv=g, smearing=smearing)
+    H = random_jets(rng, n, [2 * (N - s) + extra for s in range(N + 1)])
+    ref = iterated_expect(state, H)
+    np.testing.assert_allclose(state.expect_jets(H).coeffs, ref, rtol=1e-12,
+                               atol=1e-12 * max(abs(c) for c in ref))
+
+
+def test_expect_jets_order_boundary():
+    rng = np.random.default_rng(3)
+    state = CoherentState((0.1, 0.2, 0.3), 3, 3)
+    for s in range(4):
+        need = 2 * (3 - s)
+        state.expect_jets([None] * s + random_jets(rng, 3, [need]))
+        if need:
+            with pytest.raises(ValueError, match="jet order insufficient"):
+                state.expect_jets([None] * s + random_jets(rng, 3, [need - 1]))
+    # the bare delta reads only the value
+    bare_delta((0.1, 0.2, 0.3), 3, 3).expect_jets(random_jets(rng, 3, [0]))
+
+
+def test_expect_jets_rejects_wrong_dimension():
+    state = CoherentState((0.1, -0.2, 0.3, 0.4), 4, 2)
+    for dim in (6, 2):
+        jet = Jet(dim, 4, (0.0,) * dim, np.arange(n_coeffs(dim, 4), dtype=complex))
+        with pytest.raises(ValueError, match="variables"):
+            state.expect_jets([jet])
