@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,6 +63,14 @@ class ExperimentConfig:
     out_format: str = "json"
 
 
+def _convert(kind, value, name: str):
+    """kind(value), or a ConfigError naming the field it came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be numeric, not {value!r}") from exc
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -71,21 +80,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg.n = int(raw.get("n", cfg.n))
+    cfg.n = _convert(int, raw.get("n", cfg.n), "n")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    cfg.N_lambda = int(raw.get("N_lambda", cfg.N_lambda))
+    cfg.N_lambda = _convert(int, raw.get("N_lambda", cfg.N_lambda), "N_lambda")
     if not 0 <= cfg.N_lambda <= 6:
         raise ConfigError("N_lambda must be between 0 and 6")
     cfg.star_mode = raw.get("star_mode", cfg.star_mode)
     if cfg.star_mode not in ("moyal_constant", "moyal_fiberwise", "general_vertical"):
         raise ConfigError(f"unknown star_mode {cfg.star_mode!r}")
     if raw.get("lambda_num") is not None:
-        cfg.lambda_num = float(raw["lambda_num"])
+        cfg.lambda_num = _convert(float, raw["lambda_num"], "lambda_num")
         if cfg.lambda_num < 0:
             raise ConfigError("lambda_num must be nonnegative")
     if raw.get("metric_inv") is not None:
-        cfg.metric_inv = np.asarray(raw["metric_inv"], dtype=float)
+        cfg.metric_inv = _convert(partial(np.asarray, dtype=float), raw["metric_inv"], "metric_inv")
         if cfg.metric_inv.shape != (cfg.n, cfg.n):
             raise ConfigError("metric_inv must be an n x n matrix")
         g = cfg.metric_inv
@@ -97,22 +106,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if cfg.theta.kind not in kinds:
         raise ConfigError(f"theta_spec.kind must be one of {kinds}")
     if ts.get("Theta") is not None:
-        Theta = np.asarray(ts["Theta"], dtype=float)
+        Theta = _convert(partial(np.asarray, dtype=float), ts["Theta"], "theta_spec.Theta")
         if Theta.shape != (cfg.n, cfg.n):
             raise ConfigError("theta_spec.Theta must be an n x n matrix")
         try:
             cfg.theta.Theta = poisson.check_antisymmetric(Theta)
         except ValueError as exc:
             raise ConfigError(f"theta_spec.{exc}") from exc
-    cfg.theta.r = float(ts.get("r", cfg.theta.r))
-    cfg.theta.eps = float(ts.get("eps", cfg.theta.eps))
+    cfg.theta.r = _convert(float, ts.get("r", cfg.theta.r), "theta_spec.r")
+    cfg.theta.eps = _convert(float, ts.get("eps", cfg.theta.eps), "theta_spec.eps")
     if cfg.theta.r <= 0 or cfg.theta.eps <= 0:
         raise ConfigError("theta_spec.r and .eps must be positive")
     samples = raw.get("samples", {})
-    cfg.sample_count = int(samples.get("count", cfg.sample_count))
+    cfg.sample_count = _convert(int, samples.get("count", cfg.sample_count), "samples.count")
     if cfg.sample_count < 1:
         raise ConfigError("samples.count must be >= 1")
-    cfg.seed = int(samples.get("seed", cfg.seed))
+    cfg.seed = _convert(int, samples.get("seed", cfg.seed), "samples.seed")
+    if cfg.seed < 0:
+        raise ConfigError("samples.seed must be >= 0")
     output = raw.get("output", {})
     cfg.out_path = output.get("path", cfg.out_path)
     cfg.out_format = output.get("format", cfg.out_format)
@@ -193,6 +204,8 @@ def write_output(payload, cfg: ExperimentConfig, csv_rows=None, csv_header=None)
 def cmd_lightcone(cfg: ExperimentConfig, args) -> int:
     if cfg.lambda_num is None:
         raise ConfigError("lightcone requires lambda_num (--lambda)")
+    if args.grid_points < 1:
+        raise ConfigError("--grid-points must be >= 1")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     rows = lightcone_profile(cfg.lambda_num, grid, n=cfg.n, order=cfg.N_lambda,
                              verify=args.verify)
@@ -210,7 +223,7 @@ def cmd_lightcone(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_distance(cfg: ExperimentConfig, args) -> int:
-    v = np.asarray([float(x) for x in args.v.split(",")], dtype=float)
+    v = np.asarray(_convert(lambda s: [float(x) for x in s.split(",")], args.v, "--v"))
     if v.shape[0] != cfg.n:
         raise ConfigError(f"--v must have {cfg.n} components")
     sp = build_star(cfg).restrict(np.zeros(cfg.n))
@@ -234,7 +247,7 @@ def cmd_distance(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _random_fiber_polys(cfg, rng, count, degree=3, offset=None):
+def _random_fiber_polys(cfg, rng, count, offset=None):
     dim = 2 * cfg.n
     offset = offset if offset is not None else cfg.n
     out = []
@@ -242,7 +255,7 @@ def _random_fiber_polys(cfg, rng, count, degree=3, offset=None):
         coeffs = {}
         for _t in range(4):
             m = [0] * dim
-            for _d in range(int(rng.integers(0, degree + 1))):
+            for _d in range(int(rng.integers(0, 4))):  # degree <= 3
                 m[offset + int(rng.integers(0, cfg.n))] += 1
             coeffs[tuple(m)] = coeffs.get(tuple(m), 0.0) + rng.uniform(-1, 1)
         out.append(sf.polynomial(coeffs, dim))
@@ -350,6 +363,8 @@ def cmd_check(cfg: ExperimentConfig, args) -> int:
 def cmd_pairs_demo(cfg: ExperimentConfig, args) -> int:
     """Commutator of two-point coordinate observables along a separation ray:
     noncommutative near the diagonal, exactly commutative beyond the support."""
+    if args.grid_points < 1:
+        raise ConfigError("--grid-points must be >= 1")
     if cfg.theta.kind == "constant":
         cfg.theta.kind = "ball_compact"
     cfg.star_mode = "general_vertical"
@@ -435,6 +450,8 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigError("order must be between 0 and 6")
         cfg.N_lambda = args.order
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("seed must be >= 0")
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_path = args.out

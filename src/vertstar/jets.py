@@ -121,6 +121,11 @@ class Jet:
         src, fac = _deriv_table(self.dim, self.order, (i,))
         return Jet(self.dim, self.order - 1, self.base, fac[0] * self.c[src[0]])
 
+    def conjugate(self) -> "Jet":
+        """Jet of conj(f): the variables are real, so the jets of conj(f) are
+        the conjugated jets of f."""
+        return Jet(self.dim, self.order, self.base, self.c.conj())
+
     def _check(self, other: "Jet"):
         if (self.dim, self.order) != (other.dim, other.order) or self.base != other.base:
             raise ValueError("jet shape mismatch")

@@ -118,7 +118,7 @@ class BumpSqElem(_Profile):
         return jet_compose_univariate(_ramp_taylor(s_jet.value.real, order), s_jet).c
 
 
-class BallRampElem(_Profile):
+class BallRampElem(BumpSqElem):
     """Radial correction profile m(u) of a ball-supported pushforward frame.
 
     The frame fields are X_alpha(w) = chi(s) e_alpha + m(s^2) (w . e_alpha) w
@@ -133,11 +133,7 @@ class BallRampElem(_Profile):
     _TINY = 1e-60
 
     def _jet(self, u: float, order: int) -> Jet:
-        s_jet = _sqrt_jet(_u_jet(u, order + 1))
-        ramp_arg = (s_jet - self.r) * (1.0 / self.eps)
-        chi = jet_compose_univariate(
-            _ramp_taylor(ramp_arg.value.real, order + 1), ramp_arg
-        )
+        chi = Jet(1, order + 1, (u,), super().taylor(u, order + 1))
         if abs(chi.value) < self._TINY:
             return jet_constant(0.0, (u,), 1, order)
         dchi_du = chi.deriv(0)  # chi is a jet in u = s^2, so this is dchi/du
@@ -266,20 +262,6 @@ def radial_bump(dim: int, axes, r: float, eps: float) -> SmoothMap:
     """Bump in the Euclidean norm over the listed axes: 1 inside radius r,
     0 outside radius r + eps."""
     return radial_profile(BumpSqElem(r, eps), norm_squared(dim, axes))
-
-
-def conjugate(f: SmoothMap) -> SmoothMap:
-    if f.kind == "const":
-        return SmoothMap(f.dim, "const", payload=np.conj(f.payload))
-    if f.kind == "poly":
-        return SmoothMap(f.dim, "poly", payload={k: np.conj(v) for k, v in f.payload.items()})
-    if f.kind == "scale":
-        return SmoothMap(f.dim, "scale", (conjugate(f.children[0]),),
-                         payload=np.conj(f.payload))
-    if not f.children:
-        return f
-    return SmoothMap(f.dim, f.kind, tuple(conjugate(c) for c in f.children),
-                     payload=f.payload)
 
 
 # -- evaluation -------------------------------------------------------------

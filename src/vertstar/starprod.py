@@ -28,7 +28,7 @@ from .formal import FormalSeries
 from .jets import Jet, cauchy_product, jet_constant, multi_indices, n_coeffs, partials
 from .poisson import (VerticalMultivector, constant_theta, jacobi_defect,
                       restrict_to_fiber, theta_matrix)
-from .smoothfn import SmoothMap, eval_jet, evaluate
+from .smoothfn import SmoothMap, eval_jet, eval_jets
 
 # ---------------------------------------------------------------------------
 # doubled-jet machinery for Moyal modes
@@ -268,9 +268,8 @@ class StarProduct:
     def star_at(self, f: SmoothMap, g: SmoothMap, x) -> FormalSeries:
         """Pointwise star product as a formal series of complex values."""
         N = self.lambda_order
-        F = [eval_jet(f, x, N, fiber=self.n)]
-        G = [eval_jet(g, x, N, fiber=self.n)]
-        jets = self.star_jets(F, G, x, [0] * (N + 1))
+        F, G = eval_jets([f, g], x, N, fiber=self.n)
+        jets = self.star_jets([F], [G], x, [0] * (N + 1))
         return FormalSeries(N, tuple(j.value for j in jets))
 
     def restrict(self, p) -> "StarProduct":
@@ -403,47 +402,50 @@ def pair_picture_star(sp: StarProduct, f: SmoothMap, g: SmoothMap, qq) -> Formal
 
 def check_verticality(sp: StarProduct, pairs, samples) -> float:
     """Max per-order |f * pi^*u - f u| for (f, u) pairs; u depends only on the
-    base point (or is constant, in the fiber picture)."""
+    base point (or is constant, in the fiber picture).  Both products and the
+    pointwise f u come from one walk of (f, u) per point."""
+    N = sp.lambda_order
+    values = [0] * (N + 1)
     worst = 0.0
     for f, u in pairs:
         for x in samples:
-            s = sp.star_at(f, u, x)
-            s2 = sp.star_at(u, f, x)
-            prod = evaluate(f, x) * evaluate(u, x)
-            worst = max(worst, abs(s.coeffs[0] - prod), abs(s2.coeffs[0] - prod))
-            for c in list(s.coeffs[1:]) + list(s2.coeffs[1:]):
-                worst = max(worst, abs(c))
+            F, U = eval_jets([f, u], x, N, fiber=sp.n)
+            prod = F.value * U.value
+            for s in (sp.star_jets([F], [U], x, values), sp.star_jets([U], [F], x, values)):
+                worst = max(worst, abs(s[0].value - prod), *(abs(j.value) for j in s[1:]))
     return worst
 
 
 def check_hermitean(sp: StarProduct, pairs, samples) -> float:
-    """Max per-order |conj(f * g) - conj(g) * conj(f)|."""
+    """Max per-order |conj(f * g) - conj(g) * conj(f)|.  The jets of conj(f)
+    are the conjugated jets of f, so one walk of (f, g) per point serves both
+    sides."""
+    N = sp.lambda_order
+    values = [0] * (N + 1)
     worst = 0.0
     for f, g in pairs:
-        fc, gc = sf.conjugate(f), sf.conjugate(g)
         for x in samples:
-            lhs = sp.star_at(f, g, x).conjugate()
-            rhs = sp.star_at(gc, fc, x)
-            for a, b in zip(lhs.coeffs, rhs.coeffs):
-                worst = max(worst, abs(a - b))
+            F, G = eval_jets([f, g], x, N, fiber=sp.n)
+            lhs = sp.star_jets([F], [G], x, values)
+            rhs = sp.star_jets([G.conjugate()], [F.conjugate()], x, values)
+            worst = max(worst, *(abs(np.conj(a.value) - b.value) for a, b in zip(lhs, rhs)))
     return worst
 
 
 def check_flip_symmetry(sp: StarProduct, pairs, samples) -> float:
     """Max per-order violation of tau^*(f * g) = tau^*f * tau^*g with
-    tau(p, v) = (p, -v)."""
+    tau(p, v) = (p, -v).  The fiber jet of tau^*f at x is that of f at tau x
+    times (-1)^|alpha|, so one walk of (f, g) at tau x serves both sides."""
+    N = sp.lambda_order
+    values = [0] * (N + 1)
+    sign = np.array([(-1.0) ** sum(a) for a in multi_indices(sp.n, N)])
     worst = 0.0
     for f, g in pairs:
-        # the fiber coordinates are the trailing n
-        A = np.diag([1.0] * (f.dim - sp.n) + [-1.0] * sp.n)
-        b = np.zeros(f.dim)
-        ft = sf.pullback_affine(f, A, b)
-        gt = sf.pullback_affine(g, A, b)
+        tau = np.array([1.0] * (f.dim - sp.n) + [-1.0] * sp.n)  # the fiber is the trailing n
         for x in samples:
-            x = np.asarray(x, dtype=float)
-            tx = A @ x
-            lhs = sp.star_at(f, g, tx)  # tau^*(f*g) at x
-            rhs = sp.star_at(ft, gt, x)
-            for a2, b2 in zip(lhs.coeffs, rhs.coeffs):
-                worst = max(worst, abs(a2 - b2))
+            F, G = eval_jets([f, g], tau * x, N, fiber=sp.n)
+            lhs = sp.star_jets([F], [G], tau * x, values)  # tau^*(f*g) at x
+            Ft, Gt = ([Jet(sp.n, N, tuple(x), J.c * sign)] for J in (F, G))
+            rhs = sp.star_jets(Ft, Gt, x, values)
+            worst = max(worst, *(abs(a.value - b.value) for a, b in zip(lhs, rhs)))
     return worst

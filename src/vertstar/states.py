@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smoothfn as sf
-from .formal import ZERO_TOL, FormalSeries, is_formally_positive
+from .formal import FormalSeries, is_formally_positive
 from .jets import jet_compose_univariate, jet_constant, multi_indices, n_coeffs
 from .poisson import standard_symplectic
-from .smoothfn import SmoothMap, eval_jet
+from .smoothfn import SmoothMap, eval_jet, eval_jets
 from .starprod import StarProduct
 
 
@@ -78,42 +78,35 @@ class CoherentState:
         return self.expect_jets([eval_jet(f, self.base, 2 * self.order, fiber=self.n)])
 
     def star_expect(self, sp: StarProduct, f: SmoothMap, g: SmoothMap) -> FormalSeries:
-        """omega(f * g) through the star product's jet pipeline."""
-        N = self.order
-        F = [eval_jet(f, self.base, 2 * N, fiber=self.n)]
-        G = [eval_jet(g, self.base, 2 * N, fiber=self.n)]
-        jets = sp.star_jets(F, G, self.base, [2 * (N - t) for t in range(N + 1)])
-        return self.expect_jets(jets)
+        """omega(f * g) through the star product's jet pipeline, from one walk
+        of (f, g)."""
+        F, G = eval_jets([f, g], self.base, 2 * self.order, fiber=self.n)
+        return self._star_expect_jets(sp, [F], [G])
+
+    def _star_expect_jets(self, sp: StarProduct, F, G) -> FormalSeries:
+        """omega(F * G) for series F, G of fiber jets at `base` of order 2N."""
+        orders = [2 * (self.order - t) for t in range(self.order + 1)]
+        return self.expect_jets(sp.star_jets(F, G, self.base, orders))
 
     # -- variance and uncertainty --------------------------------------------
 
     def variance(self, sp: StarProduct, f: SmoothMap) -> FormalSeries:
-        """omega(conj(f - omega(f)) * (f - omega(f)))."""
-        return self.central_second_moment(sp, f, self.expect(f))
+        """omega(conj(f - m) * (f - m)) with m = omega(f), from one walk of f:
+        the jets of conj(f) are the conjugated jets of f."""
+        return self._variance_jets(sp, eval_jet(f, self.base, 2 * self.order, fiber=self.n))
 
-    def central_second_moment(self, sp: StarProduct, f: SmoothMap,
-                              m: FormalSeries) -> FormalSeries:
-        """omega(conj(f - m) * (f - m)) for a given centering series m (equals
-        the variance when m = omega(f))."""
-        N = self.order
-        fj = eval_jet(f, self.base, 2 * N, fiber=self.n)
-        fjc = eval_jet(sf.conjugate(f), self.base, 2 * N, fiber=self.n)
-
-        def centered(jet, coeffs):
-            out = [jet - coeffs[0]]
-            for t in range(1, N + 1):
-                out.append(jet_constant(-coeffs[t], jet.base, jet.dim, 2 * N))
-            return out
-
-        G = centered(fj, m.coeffs)
-        Gbar = centered(fjc, tuple(np.conj(c) for c in m.coeffs))
-        jets = sp.star_jets(Gbar, G, self.base, [2 * (N - t) for t in range(N + 1)])
-        return self.expect_jets(jets)
+    def _variance_jets(self, sp: StarProduct, fj) -> FormalSeries:
+        """The variance of f from its fiber jet fj of order 2 * order."""
+        m = self.expect_jets([fj]).coeffs
+        G = [fj - m[0]] + [jet_constant(-c, fj.base, fj.dim, fj.order) for c in m[1:]]
+        return self._star_expect_jets(sp, [J.conjugate() for J in G], G)
 
     def uncertainty_check(self, sp: StarProduct, f: SmoothMap, g: SmoothMap) -> dict:
-        """4 Var(f) Var(g) >= |omega([f, g]_*)|^2 for Hermitean f, g."""
-        lhs = 4.0 * (self.variance(sp, f) * self.variance(sp, g))
-        comm = self.star_expect(sp, f, g) - self.star_expect(sp, g, f)
+        """4 Var(f) Var(g) >= |omega([f, g]_*)|^2 for Hermitean f, g; one walk
+        of (f, g) serves both variances and the commutator."""
+        F, G = eval_jets([f, g], self.base, 2 * self.order, fiber=self.n)
+        lhs = 4.0 * (self._variance_jets(sp, F) * self._variance_jets(sp, G))
+        comm = self._star_expect_jets(sp, [F], [G]) - self._star_expect_jets(sp, [G], [F])
         rhs = comm * comm.conjugate()
         verdict = is_formally_positive((lhs - rhs).real())
         return {"lhs": lhs, "rhs": rhs, "holds": verdict in ("positive", "zero"),
@@ -121,25 +114,25 @@ class CoherentState:
 
     # -- positivity ----------------------------------------------------------
 
-    def positivity_scan(self, sp: StarProduct, rng, count: int = 100,
-                        degree: int = 3, tol: float = ZERO_TOL) -> dict:
+    def positivity_scan(self, sp: StarProduct, rng, count: int = 100) -> dict:
         """omega(conj(f) * f) must not be formally negative for random complex
-        polynomials f in the fiber variables."""
+        cubic polynomials f in the fiber variables.  One walk of f per draw
+        serves f and its centred probe; the jets of conj(f) are the conjugated
+        jets of f."""
         dim = len(self.base)
-        monos = [m for m in multi_indices(dim, degree) if not any(m[:dim - self.n])]
+        monos = [m for m in multi_indices(dim, 3) if not any(m[:dim - self.n])]
         checked = 0
         for _ in range(count):
             coeffs = rng.uniform(-1, 1, len(monos)) + 1j * rng.uniform(-1, 1, len(monos))
             f = sf.polynomial({m: c for m, c in zip(monos, coeffs)}, dim)
+            F = eval_jet(f, self.base, 2 * self.order, fiber=self.n)
             # also probe the centered function: subtracting the value at the
             # base kills the dominant order-0 coefficient |f(base)|^2, which
             # otherwise masks sign defects at higher orders
-            fc = f - complex(sf.evaluate(f, self.base))
-            for probe in (f, fc):
-                s = self.star_expect(sp, sf.conjugate(probe), probe)
-                verdict = is_formally_positive(s.real(), tol=tol)
+            for probe, P in ((f, F), (f - complex(F.value), F - F.value)):
+                s = self._star_expect_jets(sp, [P.conjugate()], [P])
                 checked += 1
-                if verdict == "negative":
+                if is_formally_positive(s.real()) == "negative":
                     return {"ok": False, "witness": probe, "witness_series": s,
                             "checked": checked}
         return {"ok": True, "witness": None, "witness_series": None,

@@ -3,6 +3,7 @@ import pytest
 
 from vertstar import smoothfn as sf
 from vertstar.jets import Jet, jet_constant
+from vertstar.smoothfn import SmoothMap
 
 
 def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
@@ -18,6 +19,21 @@ def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
             c = c + 1j * rng.uniform(-1, 1)
         coeffs[tuple(m)] = coeffs.get(tuple(m), 0.0) + c
     return sf.polynomial(coeffs, dim)
+
+
+def conjugate(f: SmoothMap) -> SmoothMap:
+    """The tree of conj(f): the reference for Jet.conjugate."""
+    if f.kind == "const":
+        return SmoothMap(f.dim, "const", payload=np.conj(f.payload))
+    if f.kind == "poly":
+        return SmoothMap(f.dim, "poly", payload={k: np.conj(v) for k, v in f.payload.items()})
+    if f.kind == "scale":
+        return SmoothMap(f.dim, "scale", (conjugate(f.children[0]),),
+                         payload=np.conj(f.payload))
+    if not f.children:
+        return f
+    return SmoothMap(f.dim, f.kind, tuple(conjugate(c) for c in f.children),
+                     payload=f.payload)
 
 
 def jet_laplacian(j: Jet, metric_inv) -> Jet:

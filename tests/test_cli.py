@@ -188,6 +188,30 @@ def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
     assert out == "" and err.startswith("config error:")
 
 
+@pytest.mark.parametrize("raw, argv", [
+    (None, ["check", "assoc", "--seed", "-1"]),
+    ({"samples": {"seed": -3}}, ["check", "assoc"]),
+    (None, ["lightcone", "--lambda", "0.01", "--grid-points", "-1"]),
+    (None, ["pairs-demo", "--grid-points", "-2"]),
+    (None, ["distance", "--v", "a,b,c,d"]),
+    (None, ["distance", "--v", "1,,0,0"]),
+    ({"n": "four"}, ["check", "assoc"]),
+    ({"samples": {"count": None}}, ["check", "assoc"]),
+    ({"theta_spec": {"r": "wide"}}, ["check", "assoc"]),
+    ({"lambda_num": [0.1]}, ["distance", "--v", "1,0,0,0"]),
+    ({"metric_inv": [["a"]]}, ["distance", "--v", "1,0,0,0"]),
+])
+def test_malformed_input_is_a_config_error(tmp_path, capsys, raw, argv):
+    # exit 1 means a check failed; malformed input must not reach it
+    if raw is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("config error:")
+
+
 def test_moyal_fiberwise_commands(tmp_path, capsys):
     # the fiber commands restrict the tangent-bundle product to the fiber
     # over p = 0, where the fiberwise Moyal product is Moyal with Theta(0)

@@ -14,6 +14,8 @@ from vertstar.poisson import (build_ball_compact_theta, build_commuting_compact_
                               naive_scaled_theta, restrict_to_fiber, standard_symplectic)
 from vertstar.smoothfn import eval_jet, eval_jets, evaluate
 
+from conftest import conjugate, random_poly
+
 
 def fd_gradient(f, x, h=1e-5):
     x = np.asarray(x, dtype=float)
@@ -120,9 +122,55 @@ def test_radial_bump_in_two_axes():
 
 def test_conjugate():
     f = sf.polynomial({(1, 0): 1.0 + 2.0j, (0, 1): -1.0j}, 2)
-    fc = sf.conjugate(f)
+    fc = conjugate(f)
     x = (0.4, -0.3)
     assert evaluate(fc, x) == pytest.approx(np.conj(evaluate(f, x)))
+
+
+def _random_tree(rng, dim, depth):
+    """A random tree over poly, quad, const, radial bump, exp, bump, scale,
+    affine, sum and prod nodes, with complex coefficients."""
+    if depth == 0:
+        kind = rng.integers(4)
+        if kind == 0:
+            return random_poly(rng, dim, complex_coeffs=True)
+        if kind == 1:
+            return sf.quadratic_form(rng.uniform(-1, 1, (dim, dim)))
+        if kind == 2:
+            axes = rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False)
+            return sf.radial_bump(dim, sorted(axes), 0.8, 0.5)
+        return sf.constant(complex(*rng.uniform(-1, 1, 2)), dim)
+    a = _random_tree(rng, dim, depth - 1)
+    kind = rng.integers(6)
+    if kind == 0:
+        return sf.exp_of(a * 0.25)
+    if kind == 1:
+        return sf.bump_of(a, 0.5, 0.5)
+    if kind == 2:
+        return a * complex(*rng.uniform(-1, 1, 2))
+    if kind == 3:
+        return sf.pullback_affine(a, rng.uniform(-1, 1, (dim, dim)), rng.uniform(-1, 1, dim))
+    b = _random_tree(rng, dim, depth - 1)
+    return a + b if kind == 4 else a * b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 4), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_conjugated_and_reflected_jets_are_the_walks(n, tm, order, depth, seed):
+    # the structural checks and the states take conj(f) and tau^*f from the
+    # jets of f: the conjugated jets, and the jets at tau x times (-1)^|alpha|
+    rng = np.random.default_rng(seed)
+    dim = 2 * n if tm else n
+    f = _random_tree(rng, dim, depth)
+    x = rng.uniform(-1.5, 1.5, dim)
+    jet = eval_jet(f, x, order, fiber=n)
+    assert np.array_equal(jet.conjugate().c, eval_jet(conjugate(f), x, order, fiber=n).c)
+    tau = np.diag([1.0] * (dim - n) + [-1.0] * n)
+    sign = np.array([(-1.0) ** sum(a) for a in multi_indices(n, order)])
+    reflected = eval_jet(f, tau @ x, order, fiber=n).c * sign
+    assert np.array_equal(reflected, eval_jet(sf.pullback_affine(f, tau, np.zeros(dim)), x,
+                                              order, fiber=n).c)
 
 
 def test_ball_ramp_vanishes_off_annulus():

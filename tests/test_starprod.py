@@ -320,6 +320,62 @@ def test_hermiticity_and_flip_all_modes(rng):
         assert check_flip_symmetry(sp, real_pairs, pts) < 1e-12
 
 
+def test_flip_and_hermiticity_checks_catch_broken_structures(rng):
+    # negative controls, which a check comparing a jet with itself would
+    # pass: theta^{01} = 1 + v_0 / 2 is Poisson (n = 2) but not flip-even, and
+    # a constant complex theta is flip-even but not Hermitean
+    n = 2
+    pts = rng.uniform(-1, 1, (5, 2 * n))
+    pairs = [(random_poly(rng, 2 * n, axes=range(n, 2 * n), complex_coeffs=True),
+              random_poly(rng, 2 * n, axes=range(n, 2 * n), complex_coeffs=True))
+             for _ in range(5)]
+    odd = sf.polynomial({(0, 0, 0, 0): 1.0, (0, 0, 1, 0): 0.5}, 2 * n)
+    odd = general_vertical(poisson.VerticalMultivector(n, {(0, 1): odd}), 2)
+    cplx = sf.constant(1.0 + 0.5j, 2 * n)
+    cplx = general_vertical(poisson.VerticalMultivector(n, {(0, 1): cplx}), 2)
+    assert check_flip_symmetry(odd, pairs, pts) == pytest.approx(3.0345846816873703, rel=1e-12)
+    assert check_hermitean(odd, pairs, pts) < 1e-12
+    assert check_hermitean(cplx, pairs, pts) == pytest.approx(1.6921305422698907, rel=1e-12)
+    assert check_flip_symmetry(cplx, pairs, pts) < 1e-12
+
+
+def test_each_observable_is_walked_once_per_point(monkeypatch, rng):
+    # a root walk is a coordinate environment made from a point; the Moyal
+    # products of a constant Theta walk no theta, so every root walk counted
+    # here is one of the observables
+    roots = []
+
+    class CountingEnv(sf._Env):
+        def __init__(self, x, order, fiber=None, coords=None):
+            roots.append(coords is None)
+            super().__init__(x, order, fiber, coords)
+
+    def walks(run):
+        roots.clear()
+        run()
+        return sum(roots)
+
+    monkeypatch.setattr(sf, "_Env", CountingEnv)
+    n = 2
+    sp = moyal_constant(n, STD2, 2, picture="tm")
+    fiber_sp = sp.restrict(np.zeros(n))
+    pts = rng.uniform(-1, 1, (3, 2 * n))
+    f, g = (random_poly(rng, 2 * n, axes=range(n, 2 * n), complex_coeffs=True)
+            for _ in range(2))
+    u = random_poly(rng, 2 * n, axes=range(n))
+    pairs = [(f, g), (g, f)]
+    assert walks(lambda: check_verticality(sp, [(f, u), (g, u)], pts)) == 2 * len(pts)
+    assert walks(lambda: check_hermitean(sp, pairs, pts)) == 2 * len(pts)
+    assert walks(lambda: check_flip_symmetry(sp, pairs, pts)) == 2 * len(pts)
+    assert walks(lambda: sp.star_at(f, g, pts[0])) == 1
+    state = CoherentState(np.zeros(n), n, 2)
+    a, b = sf.coordinate(0, n), random_poly(rng, n, complex_coeffs=True)
+    assert walks(lambda: state.star_expect(fiber_sp, a, b)) == 1
+    assert walks(lambda: state.variance(fiber_sp, b)) == 1
+    assert walks(lambda: state.uncertainty_check(fiber_sp, a, sf.coordinate(1, n))) == 1
+    assert walks(lambda: state.positivity_scan(fiber_sp, rng, count=4)) == 4
+
+
 def test_midpoint_chart_roundtrip():
     qq = np.array([0.1, 0.2, 0.7, -0.4])
     pv = midpoint_chart(qq)

@@ -24,7 +24,7 @@ from vertstar.states import (
     trust_report,
 )
 
-from conftest import jet_laplacian, random_poly
+from conftest import conjugate, jet_laplacian, random_poly
 
 STD4 = standard_symplectic(4)
 
@@ -124,10 +124,10 @@ def test_cauchy_schwarz(sp4, rng):
     for _ in range(10):
         f = random_poly(rng, 4, complex_coeffs=True)
         g = random_poly(rng, 4, complex_coeffs=True)
-        cross = st.star_expect(sp4, sf.conjugate(f), g)
+        cross = st.star_expect(sp4, conjugate(f), g)
         lhs = cross * cross.conjugate()
-        rhs = (st.star_expect(sp4, sf.conjugate(f), f)
-               * st.star_expect(sp4, sf.conjugate(g), g))
+        rhs = (st.star_expect(sp4, conjugate(f), f)
+               * st.star_expect(sp4, conjugate(g), g))
         verdict = is_formally_positive((rhs - lhs).real(), tol=1e-8)
         assert verdict in ("positive", "zero")
 
@@ -148,7 +148,7 @@ def test_known_bare_delta_witness(sp4):
     bd = bare_delta(b, 4, 2)
     f = sf.polynomial({(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0j,
                        (0, 0, 0, 0): -b[0] - 1j * b[1]}, 4)
-    s = bd.star_expect(sp4, sf.conjugate(f), f)
+    s = bd.star_expect(sp4, conjugate(f), f)
     assert s.coeffs[0] == pytest.approx(0.0, abs=1e-14)
     assert np.real(s.coeffs[1]) == pytest.approx(-1.0)
 
