@@ -71,6 +71,14 @@ def _convert(kind, value, name: str):
         raise ConfigError(f"{name} must be numeric, not {value!r}") from exc
 
 
+def _integer(value, name: str) -> int:
+    """An integer field: a JSON integer or an integral float, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float)
+                                       and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -80,10 +88,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg.n = _convert(int, raw.get("n", cfg.n), "n")
+    for section in ("theta_spec", "samples", "output"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object")
+    cfg.n = _integer(raw.get("n", cfg.n), "n")
     if cfg.n < 1:
         raise ConfigError("n must be >= 1")
-    cfg.N_lambda = _convert(int, raw.get("N_lambda", cfg.N_lambda), "N_lambda")
+    cfg.N_lambda = _integer(raw.get("N_lambda", cfg.N_lambda), "N_lambda")
     if not 0 <= cfg.N_lambda <= 6:
         raise ConfigError("N_lambda must be between 0 and 6")
     cfg.star_mode = raw.get("star_mode", cfg.star_mode)
@@ -118,10 +129,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if cfg.theta.r <= 0 or cfg.theta.eps <= 0:
         raise ConfigError("theta_spec.r and .eps must be positive")
     samples = raw.get("samples", {})
-    cfg.sample_count = _convert(int, samples.get("count", cfg.sample_count), "samples.count")
+    cfg.sample_count = _integer(samples.get("count", cfg.sample_count), "samples.count")
     if cfg.sample_count < 1:
         raise ConfigError("samples.count must be >= 1")
-    cfg.seed = _convert(int, samples.get("seed", cfg.seed), "samples.seed")
+    cfg.seed = _integer(samples.get("seed", cfg.seed), "samples.seed")
     if cfg.seed < 0:
         raise ConfigError("samples.seed must be >= 0")
     output = raw.get("output", {})
@@ -156,6 +167,8 @@ def build_star(cfg: ExperimentConfig) -> StarProduct:
     """The configured star product on the tangent bundle; restrict it to a
     fiber for the fiber commands."""
     Theta = cfg.theta.Theta if cfg.theta.Theta is not None else standard_symplectic(cfg.n)
+    if cfg.star_mode != "general_vertical" and cfg.theta.kind != "constant":
+        raise ConfigError(f"star_mode {cfg.star_mode!r} needs theta_spec.kind 'constant'")
     if cfg.star_mode == "moyal_constant":
         return starprod.moyal_constant(cfg.n, Theta, cfg.N_lambda, "tm")
     if cfg.star_mode == "moyal_fiberwise":
@@ -277,11 +290,8 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         if cfg.theta.kind != "constant":
             # reach the transition annulus of the support, where d theta != 0
             pts[:, cfg.n:] *= cfg.theta.r + cfg.theta.eps
-        defect = 0.0
-        for k in range(len(pts)):
-            d = starprod.associativity_defect(
-                sp, fs[3 * k], fs[3 * k + 1], fs[3 * k + 2], [pts[k]])
-            defect = max(defect, float(np.max(d)))
+        defect = np.max([starprod.associativity_defect(
+            sp, fs[3 * k], fs[3 * k + 1], fs[3 * k + 2], [pts[k]]) for k in range(len(pts))])
     elif which == "vertical":
         sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, cfg.sample_count)
@@ -327,7 +337,7 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         Ainv = np.block([[eye / 2, eye / 2], [-eye / 2, eye / 2]])
         fs = _random_fiber_polys(cfg, rng, 2 * min(cfg.sample_count, 50))
         pts = rng.uniform(-1, 1, (min(cfg.sample_count, 50), 2 * n))
-        defect = 0.0
+        defects = [0.0]
         for k, (f, g) in enumerate(zip(fs[::2], fs[1::2])):
             pv = pts[k % len(pts)]
             qq = np.concatenate([pv[:n] - pv[n:], pv[:n] + pv[n:]])
@@ -335,10 +345,12 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
             G = sf.pullback_affine(g, Ainv, np.zeros(2 * n))
             direct = sp.star_at(f, g, pv)
             via_pairs = starprod.pair_picture_star(sp, F, G, qq)
-            for a, b in zip(direct.coeffs, via_pairs.coeffs):
-                defect = max(defect, abs(a - b))
+            defects += [abs(a - b) for a, b in zip(direct.coeffs, via_pairs.coeffs)]
+        defect = np.max(defects)  # np.max keeps a NaN that Python's max drops
     else:
         raise ConfigError(f"unknown check {which!r}")
+    if np.isnan(defect):
+        raise ArithmeticError(f"check {which}: the defect is NaN")
     tol = TOLERANCES[which]
     return {"name": which, "defect": float(defect), "tolerance": tol,
             "ok": bool(defect <= tol), **detail}
@@ -389,7 +401,7 @@ def cmd_pairs_demo(cfg: ExperimentConfig, args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "pairs-demo",
-        "support_radius": float(R),
+        "support_radius": sp.theta.support_radius,
         "rows": [{"separation": s, "commutator_magnitude": m} for s, m in rows],
     }
     write_output(payload, cfg, csv_rows=rows,

@@ -104,15 +104,15 @@ def jacobi_defect(theta: VerticalMultivector, samples) -> float:
     if n < 3:
         return 0.0
     i, j, k = np.array(list(combinations(range(n), 3))).T
-    worst = 0.0
+    defects = [0.0]  # folded by np.max, which keeps a NaN that Python's max drops
     for x in points:
         m = theta_matrix(theta, x, 1)
         # graded order: the first partials follow the value, axis by axis, so
         # m[a, b, 1 + l] = d_l theta^{ab}
         A = np.einsum("il,jkl->ijk", m[..., 0], m[..., 1:])
         J = 2.0 * (A + A.transpose(2, 0, 1) + A.transpose(1, 2, 0))
-        worst = max(worst, float(np.max(np.abs(J[i, j, k]))))
-    return worst
+        defects.append(np.max(np.abs(J[i, j, k])))
+    return float(np.max(defects))
 
 
 def restrict_to_fiber(X: VerticalMultivector, p) -> VerticalMultivector:
@@ -258,13 +258,12 @@ def fiber_samples(theta: VerticalMultivector, count: int, seed: int = 0,
 def check_flip_even(theta: VerticalMultivector, samples) -> float:
     """Max violation of theta(p, -v) = theta(p, v) over the samples."""
     off = theta.fiber_offset
-    worst = 0.0
+    defects = [0.0]
     for x in samples:
         y = np.array(x, dtype=float)
         y[off:] = -y[off:]
-        for a, b in zip(_values(theta, x), _values(theta, y)):
-            worst = max(worst, abs(a - b))
-    return worst
+        defects += [abs(a - b) for a, b in zip(_values(theta, x), _values(theta, y))]
+    return float(np.max(defects))
 
 
 def check_support(theta: VerticalMultivector, samples) -> float:
@@ -274,12 +273,11 @@ def check_support(theta: VerticalMultivector, samples) -> float:
     if theta.support_radius is None:
         raise ValueError("theta declares no support radius")
     off = theta.fiber_offset
-    worst = 0.0
+    defects = [0.0]
     for x in samples:
         v = np.asarray(x, dtype=float)[off:]
         if np.linalg.norm(v) < theta.support_radius:
             continue
-        for value in _values(theta, x):
-            worst = max(worst, abs(value))
-    return worst
+        defects += [abs(value) for value in _values(theta, x)]
+    return float(np.max(defects))
 

@@ -359,9 +359,9 @@ def general_vertical(theta: VerticalMultivector, lambda_order: int,
 
 
 def associativity_defect(sp: StarProduct, f, g, h, samples) -> np.ndarray:
-    """Per-order max |(f*g)*h - f*(g*h)| over the samples."""
+    """Per-order max |(f*g)*h - f*(g*h)| over the samples (NaN if one is NaN)."""
     N = sp.lambda_order
-    worst = np.zeros(N + 1)
+    defects = [np.zeros(N + 1)]
     inner_orders = [N - t for t in range(N + 1)]
     value_orders = [0] * (N + 1)
     for x in samples:
@@ -370,9 +370,8 @@ def associativity_defect(sp: StarProduct, f, g, h, samples) -> np.ndarray:
         left = sp.star_jets(fg, [H[0]], x, value_orders)
         gh = sp.star_jets(G, H, x, inner_orders)
         right = sp.star_jets([F[0]], gh, x, value_orders)
-        for t in range(N + 1):
-            worst[t] = max(worst[t], abs(left[t].value - right[t].value))
-    return worst
+        defects.append([abs(a.value - b.value) for a, b in zip(left, right)])
+    return np.max(defects, axis=0)
 
 
 def midpoint_chart(qq) -> tuple:
@@ -406,14 +405,14 @@ def check_verticality(sp: StarProduct, pairs, samples) -> float:
     pointwise f u come from one walk of (f, u) per point."""
     N = sp.lambda_order
     values = [0] * (N + 1)
-    worst = 0.0
+    defects = [0.0]  # folded by np.max, which keeps a NaN that Python's max drops
     for f, u in pairs:
         for x in samples:
             F, U = eval_jets([f, u], x, N, fiber=sp.n)
             prod = F.value * U.value
             for s in (sp.star_jets([F], [U], x, values), sp.star_jets([U], [F], x, values)):
-                worst = max(worst, abs(s[0].value - prod), *(abs(j.value) for j in s[1:]))
-    return worst
+                defects += [abs(s[0].value - prod), *(abs(j.value) for j in s[1:])]
+    return float(np.max(defects))
 
 
 def check_hermitean(sp: StarProduct, pairs, samples) -> float:
@@ -422,14 +421,14 @@ def check_hermitean(sp: StarProduct, pairs, samples) -> float:
     sides."""
     N = sp.lambda_order
     values = [0] * (N + 1)
-    worst = 0.0
+    defects = [0.0]
     for f, g in pairs:
         for x in samples:
             F, G = eval_jets([f, g], x, N, fiber=sp.n)
             lhs = sp.star_jets([F], [G], x, values)
             rhs = sp.star_jets([G.conjugate()], [F.conjugate()], x, values)
-            worst = max(worst, *(abs(np.conj(a.value) - b.value) for a, b in zip(lhs, rhs)))
-    return worst
+            defects += [abs(np.conj(a.value) - b.value) for a, b in zip(lhs, rhs)]
+    return float(np.max(defects))
 
 
 def check_flip_symmetry(sp: StarProduct, pairs, samples) -> float:
@@ -439,7 +438,7 @@ def check_flip_symmetry(sp: StarProduct, pairs, samples) -> float:
     N = sp.lambda_order
     values = [0] * (N + 1)
     sign = np.array([(-1.0) ** sum(a) for a in multi_indices(sp.n, N)])
-    worst = 0.0
+    defects = [0.0]
     for f, g in pairs:
         tau = np.array([1.0] * (f.dim - sp.n) + [-1.0] * sp.n)  # the fiber is the trailing n
         for x in samples:
@@ -447,5 +446,5 @@ def check_flip_symmetry(sp: StarProduct, pairs, samples) -> float:
             lhs = sp.star_jets([F], [G], tau * x, values)  # tau^*(f*g) at x
             Ft, Gt = ([Jet(sp.n, N, tuple(x), J.c * sign)] for J in (F, G))
             rhs = sp.star_jets(Ft, Gt, x, values)
-            worst = max(worst, *(abs(a.value - b.value) for a, b in zip(lhs, rhs)))
-    return worst
+            defects += [abs(a.value - b.value) for a, b in zip(lhs, rhs)]
+    return float(np.max(defects))

@@ -6,21 +6,26 @@ The canonical state over a point is the heat-smeared evaluation
 omega = delta_v o exp(lambda Delta_g / 4), truncated at the working order in
 lambda: omega(f) = E[f(v + sqrt(lambda) Y)] with Y ~ N(0, g/2).  On jets it is
 one fixed linear functional, the vector of Gaussian moments mu_alpha =
-E[Y^alpha], built once per state.  The bare delta (no smearing) is kept around
-as the standard non-positive counterexample.
+E[Y^alpha].  The bare delta (no smearing) is kept around as the standard
+non-positive counterexample.
+
+Where theta's jet at the base is a constant Theta (any base of a Moyal
+product, the plateau of a general vertical one), omega(f * g) is one pairing of
+the jets of f and g with the moments K of the formal Gaussian pair of
+covariance (1/2)[[g, g + i Theta], [g - i Theta, g]]; other bases take the
+product's star_jets.  mu and K come from one Isserlis recursion.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import smoothfn as sf
 from .formal import FormalSeries, is_formally_positive
-from .jets import jet_compose_univariate, jet_constant, multi_indices, n_coeffs
-from .poisson import standard_symplectic
+from .jets import index_lookup, jet_constant, multi_indices, n_coeffs
 from .smoothfn import SmoothMap, eval_jet, eval_jets
 from .starprod import StarProduct
 
@@ -49,7 +54,7 @@ class CoherentState:
             raise ValueError(f"metric_inv must be an n x n matrix, n = {self.n}")
         if not np.allclose(g, g.T) or np.any(np.linalg.eigvalsh(g) <= 0):
             raise ValueError("metric_inv must be symmetric positive definite")
-        self._moments = _gaussian_moments(g, 2 * self.order)
+        self._moments = _moment_table(self.n, 2 * self.order, g.tobytes())
 
     # -- expectation ---------------------------------------------------------
 
@@ -78,15 +83,34 @@ class CoherentState:
         return self.expect_jets([eval_jet(f, self.base, 2 * self.order, fiber=self.n)])
 
     def star_expect(self, sp: StarProduct, f: SmoothMap, g: SmoothMap) -> FormalSeries:
-        """omega(f * g) through the star product's jet pipeline, from one walk
-        of (f, g)."""
+        """omega(f * g) from one walk of (f, g)."""
         F, G = eval_jets([f, g], self.base, 2 * self.order, fiber=self.n)
         return self._star_expect_jets(sp, [F], [G])
 
     def _star_expect_jets(self, sp: StarProduct, F, G) -> FormalSeries:
-        """omega(F * G) for series F, G of fiber jets at `base` of order 2N."""
-        orders = [2 * (self.order - t) for t in range(self.order + 1)]
-        return self.expect_jets(sp.star_jets(F, G, self.base, orders))
+        """omega(F * G) for series F, G of fiber jets at `base` of order 2N:
+        where theta's jet at the base is a constant Theta, the pairing
+        omega_t = sum_{a+b+s=t} F[a]^T K^(s) G[b] with the |alpha| + |beta| =
+        2s block of the pair moments K (built only as far as F and G have
+        nonzero coefficients), else expect_jets of star_jets."""
+        N, n = self.order, self.n
+        # a product of another order, or a point of another domain, is left to
+        # star_jets, which raises
+        same = sp.lambda_order == N and len(self.base) == sp.theta.ambient_dim
+        Theta = _constant_theta_at(sp, self.base) if same else None
+        if Theta is None:
+            orders = [2 * (N - t) for t in range(N + 1)]
+            return self.expect_jets(sp.star_jets(F, G, self.base, orders))
+        dF, dG = _degree(F), _degree(G)
+        g = self.metric_inv if self.smearing else np.zeros((n, n))
+        s, i, j, K = _pair_moments(n, dF, dG, min(dF + dG, 2 * N), g.tobytes(),
+                                   np.asarray(Theta, dtype=float).tobytes())
+        out = np.zeros(N + 1, dtype=complex)
+        for a in range(min(len(F), N + 1)):
+            for b in range(min(len(G), N + 1 - a)):
+                e = np.searchsorted(s, N - a - b, side="right")  # the blocks s <= N - a - b
+                np.add.at(out, s[:e] + a + b, F[a].c[i[:e]] * K[:e] * G[b].c[j[:e]])
+        return FormalSeries(N, tuple(out))
 
     # -- variance and uncertainty --------------------------------------------
 
@@ -144,50 +168,62 @@ def bare_delta(base, n: int, order: int, metric_inv=None) -> CoherentState:
     return CoherentState(base, n, order, metric_inv=metric_inv, smearing=False)
 
 
-def _gaussian_moments(g, order: int) -> np.ndarray:
-    """E[Y^alpha] for Y ~ N(0, g/2) at every |alpha| <= order, in the graded
-    order of multi_indices: alpha! [xi^alpha] exp(xi^T g xi / 4)."""
-    n = g.shape[0]
-    q = jet_constant(0.0, (0.0,) * n, n, order)
-    if order >= 2:  # the degree-2 block lists xi_i xi_k, i <= k, row by row
-        i, k = np.triu_indices(n)
-        q.c[n + 1:n_coeffs(n, 2)] = np.where(i == k, 0.25, 0.5) * g[i, k]
-    e = jet_compose_univariate([1.0 / math.factorial(k) for k in range(order + 1)], q)
-    fact = [math.prod(map(math.factorial, a)) for a in multi_indices(n, order)]
-    return e.c.real * fact
+def _constant_theta_at(sp: StarProduct, x):
+    """Theta where theta's jet at x is that constant (theta's plateau, or any
+    base of a Moyal product); None at annulus, outside and NaN bases."""
+    theta, x = sp.theta, np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return None
+    if theta.plateau and np.linalg.norm(x[theta.fiber_offset:]) < theta.plateau[0]:
+        return theta.plateau[1]
+    return theta.matrix_at(x).real if sp.mode == "moyal" else None
 
 
-def trust_report(state: CoherentState, sp: StarProduct) -> dict:
-    """Whether positivity of the coherent state is backed by theory or only by
-    scanning, read from the product's theta.
+def _degree(H) -> int:
+    """The highest |alpha| with a nonzero coefficient in a series of jets."""
+    last = max(np.flatnonzero(J.c).max(initial=0) for J in H)
+    return sum(multi_indices(H[0].dim, H[0].order)[last])
 
-    Guaranteed at bases outside the support, where the state is classical,
-    and inside the plateau |v| < r, where theta = Theta (everywhere for a
-    constant theta), when (Theta, g) is the standard compatible pair; other
-    bases in the support of a compactly supported structure are flagged as
-    annulus for a mandatory scan.
-    """
-    report = {"guaranteed": False, "annulus": False, "scan_required": True}
-    if not state.smearing:
-        report["reason"] = "bare delta functionals are not positive"
-        return report
-    theta = sp.theta
-    s = np.linalg.norm(state.base[-state.n:])
-    if theta.support_radius is not None and s >= theta.support_radius:
-        report.update(guaranteed=True, scan_required=False,
-                      reason="base outside the support: classical state")
-    elif (theta.plateau and s < theta.plateau[0]
-          and np.array_equal(state.metric_inv, np.eye(sp.n))
-          and np.array_equal(theta.plateau[1], standard_symplectic(sp.n))):
-        report.update(guaranteed=True, scan_required=False,
-                      reason="plateau: standard compatible (Theta, g) pair")
-    elif theta.support_radius is not None:
-        report.update(annulus=True,
-                      reason="base inside the support of a non-constant "
-                             "structure: unverified by theory")
-    else:
-        report["reason"] = "general structure; positivity is scan-verified only"
-    return report
+
+def _gaussian_moments(C, degree: int) -> np.ndarray:
+    """E[Y^gamma] at every |gamma| <= degree, in the graded order of
+    multi_indices, for the centred formal Gaussian Y with the symmetric (real
+    or complex) covariance C, by Isserlis' integration by parts:
+    E[Y^gamma] = sum_j C_ij (gamma - e_i)_j E[Y^(gamma - e_i - e_j)], with i
+    the first nonzero index of gamma."""
+    C, lookup = np.asarray(C).tolist(), index_lookup(len(C), degree)
+    mu = [1.0] + [0.0] * (len(lookup) - 1)
+    for k, gamma in enumerate(multi_indices(len(C), degree)):
+        if k and sum(gamma) % 2 == 0:
+            i = next(i for i, a in enumerate(gamma) if a)
+            rest = gamma[:i] + (gamma[i] - 1,) + gamma[i + 1:]
+            mu[k] = sum(C[i][j] * a * mu[lookup[rest[:j] + (a - 1,) + rest[j + 1:]]]
+                        for j, a in enumerate(rest) if a)
+    return np.array(mu)
+
+
+@lru_cache(maxsize=256)
+def _moment_table(n: int, degree: int, g: bytes) -> np.ndarray:
+    """mu_alpha = E[Y^alpha], Y ~ N(0, g/2), keyed by content."""
+    mu = _gaussian_moments(np.frombuffer(g).reshape(n, n) / 2, degree)
+    mu.flags.writeable = False
+    return mu
+
+
+@lru_cache(maxsize=256)
+def _pair_moments(n: int, dF: int, dG: int, D: int, g: bytes, Theta: bytes) -> tuple:
+    """K_{alpha beta} = E[Z_1^alpha Z_2^beta] for the formal Gaussian pair with
+    covariance (1/2)[[g, g + i Theta], [g - i Theta, g]], at |alpha| <= dF,
+    |beta| <= dG and |alpha| + |beta| = 2s <= D: arrays (s, i, j, K) in the
+    order of s, with i and j the graded indices of alpha and beta.  Keyed by
+    content."""
+    g, iT = np.frombuffer(g).reshape(n, n), 1j * np.frombuffer(Theta).reshape(n, n)
+    K = _gaussian_moments(np.block([[g, g + iT], [g - iT, g]]) / 2, D)
+    lookup = index_lookup(n, D)
+    s, i, j, k = np.array([(sum(c) // 2, lookup[c[:n]], lookup[c[n:]], k)
+                           for k, c in enumerate(multi_indices(2 * n, D))
+                           if sum(c) % 2 == 0 and sum(c[:n]) <= dF and sum(c[n:]) <= dG]).T
+    return s, i, j, K[k]
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +257,6 @@ class QuadraticObservable:
         if state.order >= 1:
             coeffs[1] = complex(np.trace(g @ self.A) / 2)
         return FormalSeries(state.order, tuple(coeffs))
-
-    def star_square_expect_closed_form(self, state: CoherentState, Theta) -> FormalSeries:
-        """omega(f_A * f_A) for the constant-bivector product:
-        f_A^2 + lambda (f_A tr(gA) + 2 f_{AgA})
-        + (lambda^2/4) (2 tr(A_t A_t) + (tr gA)^2 + 2 tr(gAgA)),
-        with (A_t)^r_j = Theta^{rs} A_{sj}."""
-        if state.order < 2:
-            raise ValueError("closed form needs order >= 2")
-        A = self.A
-        g = state.metric_inv
-        Th = np.asarray(Theta, dtype=float)
-        v = np.asarray(state.base[-state.n:])
-        fA = float(v @ A @ v)
-        fAgA = float(v @ (A @ g @ A) @ v)
-        trgA = float(np.trace(g @ A))
-        At = Th @ A
-        c0 = fA ** 2
-        c1 = fA * trgA + 2 * fAgA
-        c2 = 0.25 * (2 * np.trace(At @ At) + trgA ** 2 + 2 * np.trace(g @ A @ g @ A))
-        coeffs = [complex(c0), complex(c1), complex(c2)] + [0j] * (state.order - 2)
-        return FormalSeries(state.order, tuple(coeffs))
-
-    def variance_closed_form(self, state: CoherentState, Theta) -> FormalSeries:
-        """2 lambda f_{AgA}(v) + (lambda^2/2)(tr(A_t A_t) + tr(gAgA)); follows
-        from the two closed forms above by subtracting omega(f_A)^2."""
-        sq = self.star_square_expect_closed_form(state, Theta)
-        m = self.expect_closed_form(state)
-        return sq - m * m
 
 
 def minkowski_metric(n: int = 4) -> np.ndarray:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from vertstar import smoothfn as sf
-from vertstar.jets import Jet, jet_constant
+from vertstar.formal import FormalSeries
+from vertstar.jets import Jet, jet_compose_univariate, jet_constant, multi_indices, n_coeffs
 from vertstar.smoothfn import SmoothMap
 
 
@@ -50,6 +53,50 @@ def jet_laplacian(j: Jet, metric_inv) -> Jet:
     if out is None:
         out = jet_constant(0.0, j.base, j.dim, j.order - 2)
     return out
+
+
+def star_square_expect_closed_form(q, state, Theta) -> FormalSeries:
+    """omega(f_A * f_A) for the quadratic observable q = f_A and the
+    constant-bivector product:
+    f_A^2 + lambda (f_A tr(gA) + 2 f_{AgA})
+    + (lambda^2/4) (2 tr(A_t A_t) + (tr gA)^2 + 2 tr(gAgA)),
+    with (A_t)^r_j = Theta^{rs} A_{sj}."""
+    if state.order < 2:
+        raise ValueError("closed form needs order >= 2")
+    A = q.A
+    g = state.metric_inv
+    Th = np.asarray(Theta, dtype=float)
+    v = np.asarray(state.base[-state.n:])
+    fA = float(v @ A @ v)
+    fAgA = float(v @ (A @ g @ A) @ v)
+    trgA = float(np.trace(g @ A))
+    At = Th @ A
+    c0 = fA ** 2
+    c1 = fA * trgA + 2 * fAgA
+    c2 = 0.25 * (2 * np.trace(At @ At) + trgA ** 2 + 2 * np.trace(g @ A @ g @ A))
+    coeffs = [complex(c0), complex(c1), complex(c2)] + [0j] * (state.order - 2)
+    return FormalSeries(state.order, tuple(coeffs))
+
+
+def variance_closed_form(q, state, Theta) -> FormalSeries:
+    """2 lambda f_{AgA}(v) + (lambda^2/2)(tr(A_t A_t) + tr(gAgA)); follows
+    from omega(f_A * f_A) above by subtracting omega(f_A)^2."""
+    m = q.expect_closed_form(state)
+    return star_square_expect_closed_form(q, state, Theta) - m * m
+
+
+def gaussian_moments_expjet(g, order: int) -> np.ndarray:
+    """E[Y^alpha] for Y ~ N(0, g/2) at every |alpha| <= order, in the graded
+    order of multi_indices: alpha! [xi^alpha] exp(xi^T g xi / 4).  The
+    reference for the Isserlis recursion of `states._gaussian_moments`."""
+    n = g.shape[0]
+    q = jet_constant(0.0, (0.0,) * n, n, order)
+    if order >= 2:  # the degree-2 block lists xi_i xi_k, i <= k, row by row
+        i, k = np.triu_indices(n)
+        q.c[n + 1:n_coeffs(n, 2)] = np.where(i == k, 0.25, 0.5) * g[i, k]
+    e = jet_compose_univariate([1.0 / math.factorial(k) for k in range(order + 1)], q)
+    fact = [math.prod(map(math.factorial, a)) for a in multi_indices(n, order)]
+    return e.c.real * fact
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from vertstar.states import (
     minkowski_metric,
 )
 
-from conftest import random_poly
+from conftest import random_poly, star_square_expect_closed_form, variance_closed_form
 
 STD2 = standard_symplectic(2)
 STD4 = standard_symplectic(4)
@@ -68,9 +68,9 @@ def test_criterion_02_variance_closed_form():
     # the smeared star-square identity for quadratic forms must hold
     q = QuadraticObservable(minkowski_metric(4))
     sq = st.star_expect(sp, f_eta, f_eta)
-    assert np.allclose(sq.coeffs, q.star_square_expect_closed_form(st, STD4).coeffs,
+    assert np.allclose(sq.coeffs, star_square_expect_closed_form(q, st, STD4).coeffs,
                        atol=1e-10)
-    assert np.allclose(var.coeffs, q.variance_closed_form(st, STD4).coeffs,
+    assert np.allclose(var.coeffs, variance_closed_form(q, st, STD4).coeffs,
                        atol=1e-10)
     # omega = delta_v o exp(lambda Delta / 4) is Gaussian smearing with
     # covariance Sigma = (lambda/2) 1.  Centering kills order 0; the order-1

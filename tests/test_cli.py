@@ -200,6 +200,17 @@ def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
     ({"theta_spec": {"r": "wide"}}, ["check", "assoc"]),
     ({"lambda_num": [0.1]}, ["distance", "--v", "1,0,0,0"]),
     ({"metric_inv": [["a"]]}, ["distance", "--v", "1,0,0,0"]),
+    # integer fields take integers only: int() would truncate 2.7 and read "3"
+    ({"n": 2.7, "samples": {"count": 8}}, ["distance", "--v", "1,0"]),
+    ({"n": True}, ["distance", "--v", "1"]),
+    ({"n": "3"}, ["distance", "--v", "1,0,0"]),
+    ({"N_lambda": 1.5}, ["check", "uncertainty"]),
+    ({"samples": {"count": 8.5}}, ["check", "assoc"]),
+    ({"samples": {"seed": "1"}}, ["check", "assoc"]),
+    # every section is an object
+    ({"theta_spec": 3}, ["check", "assoc"]),
+    ({"samples": [8]}, ["check", "assoc"]),
+    ({"output": "out.json"}, ["distance", "--v", "1,0,0,0"]),
 ])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, raw, argv):
     # exit 1 means a check failed; malformed input must not reach it
@@ -249,3 +260,52 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_integral_float_is_an_integer():
+    cfg = config_from_dict({"n": 2.0, "samples": {"count": 8.0}})
+    assert (cfg.n, cfg.sample_count) == (2, 8) and isinstance(cfg.n, int)
+
+
+@pytest.mark.parametrize("raw", [
+    {"n": 4, "theta_spec": {"kind": "commuting_compact"}},
+    {"n": 2, "star_mode": "moyal_fiberwise", "theta_spec": {"kind": "ball_compact"}},
+])
+def test_moyal_modes_reject_a_varying_theta(tmp_path, capsys, raw):
+    # the Moyal modes build a constant Theta: any other theta_spec.kind would
+    # be silently replaced by the constant product
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "samples": {"count": 8}}))
+    code, out, err = run(["check", "all", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "theta_spec.kind" in err
+    # pairs-demo switches to the general vertical product itself
+    code, _, _ = run(["pairs-demo", "--grid-points", "3", "--config", str(path)], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("which", ["assoc", "pair-consistency"])
+def test_nan_defect_is_a_numeric_failure(tmp_path, capsys, which):
+    # a NaN Theta makes every defect NaN; the folds used to drop it and pass
+    raw = {"n": 2, "theta_spec": {"Theta": [[0.0, float("nan")], [float("nan"), 0.0]]},
+           "samples": {"count": 4}}
+    with pytest.raises(ArithmeticError, match="NaN"):
+        run_check(config_from_dict(raw), which)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(["check", which, "--config", str(path)], capsys)
+    assert code == 3
+    assert out == "" and err.startswith("numeric failure:")
+
+
+def test_pairs_demo_reports_only_a_declared_support_radius(tmp_path, capsys):
+    # commuting_compact at n >= 3 declares no support radius
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 3, "theta_spec": {"kind": "commuting_compact"}}))
+    code, out, _ = run(["pairs-demo", "--grid-points", "3", "--config", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["support_radius"] is None
+    assert payload["rows"][-1]["separation"] == pytest.approx(2.2 * 1.25)
+    code, out, _ = run(["pairs-demo", "--grid-points", "3"], capsys)
+    assert code == 0 and json.loads(out)["support_radius"] == 1.25

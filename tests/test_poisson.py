@@ -419,3 +419,13 @@ def test_ball_theta_closed_form_matches_frame_product(name, picture, region, ord
             assert np.all(np.abs(got - jet.c) <= 1e-13 * np.maximum(1.0, size))
         else:
             assert got.tobytes() == jet.c.tobytes()
+
+
+@pytest.mark.parametrize("check", [jacobi_defect, check_flip_even, check_support])
+def test_nan_component_is_not_folded_away(check):
+    # Python's max(0.0, nan) is 0.0: a NaN component used to pass every check
+    radius = 0.5 if check is check_support else None  # else theta_matrix reads 0 there
+    theta = VerticalMultivector(3, {(0, 1): sf.constant(np.nan, 6),
+                                    (1, 2): sf.constant(1.0, 6)}, support_radius=radius)
+    pts = np.random.default_rng(0).uniform(-1, 1, (4, 6)) * [1, 1, 1, 2, 2, 2]
+    assert np.isnan(check(theta, pts))

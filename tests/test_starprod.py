@@ -601,3 +601,17 @@ def test_plateau_closed_form_is_the_walk(build, n, picture):
             closed = poisson.theta_matrix(th, x, k)
             assert np.isnan(closed).any()
             assert np.array_equal(closed, poisson.theta_matrix(walked, x, k), equal_nan=True)
+
+
+@pytest.mark.parametrize("check", [
+    lambda sp, f, u, pts: check_verticality(sp, [(f, u)], pts),
+    lambda sp, f, u, pts: check_hermitean(sp, [(u, f)], pts),
+    lambda sp, f, u, pts: check_flip_symmetry(sp, [(u, f)], pts),
+    lambda sp, f, u, pts: associativity_defect(sp, u, f, u, pts),
+], ids=["verticality", "hermitean", "flip", "assoc"])
+def test_nan_defect_is_not_folded_away(check):
+    # Python's max(0.0, nan) is 0.0: a NaN observable used to pass every check
+    sp = moyal_constant(2, STD2, 2, picture="tm")
+    f, u = sf.constant(np.nan, 4), sf.coordinate(0, 4)
+    pts = np.random.default_rng(0).uniform(-1, 1, (3, 4))
+    assert np.isnan(np.max(check(sp, f, u, pts)))

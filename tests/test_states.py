@@ -1,15 +1,20 @@
 """Deformed states: expectations, variances, uncertainty, positivity, and the
 light-cone observables."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from vertstar import poisson, smoothfn as sf
+from vertstar import poisson, smoothfn as sf, states
 from vertstar.formal import FormalSeries, is_formally_positive
 from vertstar.jets import Jet, n_coeffs
-from vertstar.poisson import standard_symplectic
+from vertstar.poisson import (build_ball_compact_theta, build_commuting_compact_theta,
+                              restrict_to_fiber, standard_symplectic)
+from vertstar.smoothfn import eval_jets
 from vertstar.starprod import general_vertical, moyal_constant, moyal_fiberwise
 from vertstar.states import (
     CoherentState,
@@ -21,10 +26,10 @@ from vertstar.states import (
     lightcone_v0,
     lorentz_square,
     minkowski_metric,
-    trust_report,
 )
 
-from conftest import conjugate, jet_laplacian, random_poly
+from conftest import (conjugate, gaussian_moments_expjet, jet_laplacian, random_poly,
+                      star_square_expect_closed_form, variance_closed_form)
 
 STD4 = standard_symplectic(4)
 
@@ -78,10 +83,10 @@ def test_variance_pipeline_matches_quadratic_closed_forms(sp4):
     st = CoherentState((1.0, 0.0, 0.0, 0.0), 4, 2)
     q = QuadraticObservable(minkowski_metric(4))
     var = st.variance(sp4, lorentz_square(4))
-    closed = q.variance_closed_form(st, STD4)
+    closed = variance_closed_form(q, st, STD4)
     assert np.allclose(var.coeffs, closed.coeffs, atol=1e-10)
     sq = st.star_expect(sp4, lorentz_square(4), lorentz_square(4))
-    closed_sq = q.star_square_expect_closed_form(st, STD4)
+    closed_sq = star_square_expect_closed_form(q, st, STD4)
     assert np.allclose(sq.coeffs, closed_sq.coeffs, atol=1e-10)
 
 
@@ -198,6 +203,40 @@ def test_causal_class():
     assert causal_class((np.sqrt(1.04), 1.0, 0.0, 0.0), 0.04) == "lightlike"
 
 
+def trust_report(state, sp) -> dict:
+    """Whether positivity of the coherent state is backed by theory or only by
+    scanning, read from the product's theta (a reference rule; the library
+    does not consult it).
+
+    Guaranteed at bases outside the support, where the state is classical,
+    and inside the plateau |v| < r, where theta = Theta (everywhere for a
+    constant theta), when (Theta, g) is the standard compatible pair; other
+    bases in the support of a compactly supported structure are flagged as
+    annulus for a mandatory scan.
+    """
+    report = {"guaranteed": False, "annulus": False, "scan_required": True}
+    if not state.smearing:
+        report["reason"] = "bare delta functionals are not positive"
+        return report
+    theta = sp.theta
+    s = np.linalg.norm(state.base[-state.n:])
+    if theta.support_radius is not None and s >= theta.support_radius:
+        report.update(guaranteed=True, scan_required=False,
+                      reason="base outside the support: classical state")
+    elif (theta.plateau and s < theta.plateau[0]
+          and np.array_equal(state.metric_inv, np.eye(sp.n))
+          and np.array_equal(theta.plateau[1], standard_symplectic(sp.n))):
+        report.update(guaranteed=True, scan_required=False,
+                      reason="plateau: standard compatible (Theta, g) pair")
+    elif theta.support_radius is not None:
+        report.update(annulus=True,
+                      reason="base inside the support of a non-constant "
+                             "structure: unverified by theory")
+    else:
+        report["reason"] = "general structure; positivity is scan-verified only"
+    return report
+
+
 def test_trust_report(sp4):
     st = CoherentState((0.0,) * 4, 4, 2)
     rep = trust_report(st, sp4)
@@ -305,3 +344,140 @@ def test_expect_jets_rejects_wrong_dimension():
         jet = Jet(dim, 4, (0.0,) * dim, np.arange(n_coeffs(dim, 4), dtype=complex))
         with pytest.raises(ValueError, match="variables"):
             state.expect_jets([jet])
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian pairing at constant-Theta bases
+# ---------------------------------------------------------------------------
+
+
+def random_spd(rng, n):
+    A = rng.normal(size=(n, n))
+    return A @ A.T + 0.2 * np.eye(n)
+
+
+def random_antisymmetric(rng, n):
+    A = rng.normal(size=(n, n))
+    return A - A.T
+
+
+def star_jets_expect(state, sp, F, G):
+    """omega(F * G) through the product's star_jets: the path the pairing
+    replaces at constant-Theta bases."""
+    N = state.order
+    return state.expect_jets(sp.star_jets(F, G, state.base, [2 * (N - t) for t in range(N + 1)]))
+
+
+def random_series(rng, n, N, base):
+    """1 to N + 1 complex fiber jets of order 2N, each zero above a random
+    degree, so that the pairing's moment table stops short of 2N."""
+    out = []
+    for _ in range(int(rng.integers(1, N + 2))):
+        c = rng.uniform(-1, 1, n_coeffs(n, 2 * N)) + 1j * rng.uniform(-1, 1, n_coeffs(n, 2 * N))
+        c[n_coeffs(n, int(rng.integers(0, 2 * N + 1))):] = 0.0
+        out.append(Jet(n, 2 * N, tuple(base), c))
+    return out
+
+
+def pairing_case(kind, n, N, rng):
+    """A product and a base at which theta's jet is the constant Theta."""
+    Theta, g = random_antisymmetric(rng, n), random_spd(rng, n)
+    v = rng.uniform(-1, 1, n)
+    if kind == "moyal-fiber":
+        return moyal_constant(n, Theta, N), 2 * v, g
+    p = rng.uniform(-1, 1, n)
+    if kind == "moyal-tm":
+        return moyal_constant(n, Theta, N, picture="tm"), np.concatenate([p, 2 * v]), g
+    build = build_ball_compact_theta if kind.startswith("ball") else build_commuting_compact_theta
+    theta = build(n, Theta, 1.0, 0.25)
+    v *= rng.uniform(0.0, 0.95) / max(np.linalg.norm(v), 1e-3)  # on the plateau |v| < 1
+    if kind.endswith("tm"):
+        return general_vertical(theta, min(N, 2)), np.concatenate([p, v]), g
+    return general_vertical(restrict_to_fiber(theta, p), min(N, 2)), v, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.sampled_from(["moyal-fiber", "moyal-tm", "ball-tm", "ball-fiber", "commuting-tm"]),
+       hst.integers(1, 4), hst.integers(0, 3), hst.booleans(), hst.integers(0, 2 ** 32 - 1))
+def test_pairing_matches_star_jets(kind, n, N, smearing, seed):
+    rng = np.random.default_rng(seed)
+    sp, base, g = pairing_case(kind, n, N, rng)
+    N = sp.lambda_order
+    state = CoherentState(base, n, N, metric_inv=g, smearing=smearing)
+    assert states._constant_theta_at(sp, state.base) is not None
+    F, G = random_series(rng, n, N, base), random_series(rng, n, N, base)
+    got = np.array(state._star_expect_jets(sp, F, G).coeffs)
+    ref = np.array(star_jets_expect(state, sp, F, G).coeffs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n, N", [(2, 4), (4, 3), (6, 2)])
+def test_pairing_gives_the_weyl_exponentials(n, N):
+    # omega_x(e_a * e_b) = exp((i lam/2) a^T Theta b) e^{(a+b).x} exp(lam (a+b)^T g (a+b)/4)
+    # for e_a(v) = exp(a.v): the Weyl relations and the Gaussian generating function
+    rng = np.random.default_rng(10 * n + N)
+    Theta, g = random_antisymmetric(rng, n), random_spd(rng, n)
+    a, b = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
+    x = rng.uniform(-1, 1, n)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    ea, eb = (sf.exp_of(sf.polynomial(dict(zip(units, c)), n)) for c in (a, b))
+    got = np.array(CoherentState(x, n, N, metric_inv=g).star_expect(
+        moyal_constant(n, Theta, N), ea, eb).coeffs)
+    w = 0.5j * a @ Theta @ b + (a + b) @ g @ (a + b) / 4
+    want = np.exp((a + b) @ x) * np.array([w ** t / math.factorial(t) for t in range(N + 1)])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.integers(1, 4), hst.integers(0, 8), hst.integers(0, 2 ** 32 - 1))
+def test_isserlis_recursion_matches_the_exponential_jet(n, order, seed):
+    g = random_spd(np.random.default_rng(seed), n)
+    want = gaussian_moments_expjet(g, order)
+    got = states._gaussian_moments(g / 2, order)
+    assert got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pairing_guards(monkeypatch):
+    # annulus, outside and NaN bases keep the star_jets path, bit for bit; a
+    # plateau base takes the pairing
+    ball = general_vertical(restrict_to_fiber(
+        build_ball_compact_theta(2, standard_symplectic(2), 1.0, 0.25), np.zeros(2)), 2)
+    moyal = moyal_constant(2, standard_symplectic(2), 2)
+    rng = np.random.default_rng(11)
+    f, g = (random_poly(rng, 2, complex_coeffs=True) for _ in range(2))
+    calls = []
+    real = states._pair_moments
+    monkeypatch.setattr(states, "_pair_moments", lambda *a: calls.append(a) or real(*a))
+    for sp, base in [(ball, (1.1, 0.0)), (ball, (0.3, -1.05)), (ball, (2.0, 0.5)),
+                     (ball, (np.nan, 0.2)), (moyal, (0.1, np.nan))]:
+        st = CoherentState(base, 2, 2)
+        F, G = eval_jets([f, g], st.base, 4, fiber=2)
+        for H in ([F], [G]), ([F.conjugate()], [F]):
+            got = st._star_expect_jets(sp, *H)
+            assert np.array(got.coeffs).tobytes() == np.array(
+                star_jets_expect(st, sp, *H).coeffs).tobytes()
+    assert not calls
+    CoherentState((0.3, 0.4), 2, 2).star_expect(ball, f, g)
+    assert len(calls) == 1
+    # a product of another order raises, as star_jets does
+    for sp in (ball, moyal):
+        with pytest.raises(ValueError, match="lambda_order"):
+            CoherentState((0.1, 0.2), 2, 1).star_expect(sp, f, g)
+
+
+def test_uncertainty_at_order_six_in_six_variables():
+    # the Moyal pairing needs moments only up to the degree of the observables
+    states._moment_table.cache_clear()
+    states._pair_moments.cache_clear()
+    t0 = time.perf_counter()
+    st = CoherentState(np.zeros(6), 6, 6)
+    rep = st.uncertainty_check(moyal_constant(6, standard_symplectic(6), 6),
+                               sf.coordinate(0, 6), sf.coordinate(1, 6))
+    elapsed = time.perf_counter() - t0
+    lam2 = (0, 0, 1, 0, 0, 0, 0)
+    assert np.allclose(rep["lhs"].coeffs, lam2, atol=1e-14)
+    assert np.allclose(rep["rhs"].coeffs, lam2, atol=1e-14)
+    assert rep["holds"]
+    assert elapsed < 1.0, elapsed
