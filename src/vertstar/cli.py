@@ -64,11 +64,15 @@ class ExperimentConfig:
 
 
 def _convert(kind, value, name: str):
-    """kind(value), or a ConfigError naming the field it came from."""
+    """kind(value), or a ConfigError naming the field it came from; NaN and
+    infinities are rejected."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be numeric, not {value!r}") from exc
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{name} must be finite, not {value!r}")
+    return out
 
 
 def _integer(value, name: str) -> int:
@@ -299,18 +303,13 @@ def run_check(cfg: ExperimentConfig, which: str) -> dict:
         us = _random_fiber_polys(cfg, rng, cfg.sample_count, offset=0)
         pts = rng.uniform(-1, 1, (min(cfg.sample_count, 20), 2 * cfg.n))
         defect = starprod.check_verticality(sp, list(zip(fs, us)), pts)
-    elif which == "flip":
+    elif which in ("flip", "hermitean"):
         sp = build_star(cfg)
         fs = _random_fiber_polys(cfg, rng, 2 * min(cfg.sample_count, 50))
         pts = rng.uniform(-1, 1, (10, 2 * cfg.n))
         pairs = list(zip(fs[::2], fs[1::2]))
-        defect = starprod.check_flip_symmetry(sp, pairs, pts)
-    elif which == "hermitean":
-        sp = build_star(cfg)
-        fs = _random_fiber_polys(cfg, rng, 2 * min(cfg.sample_count, 50))
-        pts = rng.uniform(-1, 1, (10, 2 * cfg.n))
-        pairs = list(zip(fs[::2], fs[1::2]))
-        defect = starprod.check_hermitean(sp, pairs, pts)
+        check = starprod.check_flip_symmetry if which == "flip" else starprod.check_hermitean
+        defect = check(sp, pairs, pts)
     elif which == "positivity":
         sp = build_star(cfg).restrict(np.zeros(cfg.n))
         state = CoherentState(np.zeros(cfg.n), cfg.n, cfg.N_lambda,
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.lambda_num is not None:
-        if args.lambda_num < 0:
+        if _convert(float, args.lambda_num, "--lambda") < 0:
             raise ConfigError("lambda must be nonnegative")
         cfg.lambda_num = args.lambda_num
     if args.order is not None:

@@ -69,8 +69,11 @@ class FormalSeries:
 
 def is_formally_positive(a: FormalSeries, tol: float = ZERO_TOL) -> str:
     """Sign of the lowest non-vanishing coefficient: 'positive', 'zero' or
-    'negative'.  Coefficients must be (numerically) real."""
+    'negative'.  Coefficients must be (numerically) real; a NaN coefficient
+    has no sign and raises ArithmeticError."""
     coeffs = [complex(c) for c in a.coeffs]
+    if np.isnan(coeffs).any():
+        raise ArithmeticError("formal positivity of a series with a NaN coefficient")
     for c in coeffs:
         if abs(c.imag) > tol:
             raise ValueError("formal positivity is defined for real series only")

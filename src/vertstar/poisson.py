@@ -135,11 +135,13 @@ def restrict_to_fiber(X: VerticalMultivector, p) -> VerticalMultivector:
 
 def check_antisymmetric(Theta) -> np.ndarray:
     """Theta's upper triangle made exactly antisymmetric, after checking that
-    Theta is square with max |Theta + Theta^T| <= 1e-14 (no relative term,
-    so a large Theta gets no more slack)."""
+    Theta is a finite square matrix with max |Theta + Theta^T| <= 1e-14 (no
+    relative term, so a large Theta gets no more slack)."""
     Theta = np.asarray(Theta, dtype=float)
     if Theta.ndim != 2 or Theta.shape[0] != Theta.shape[1]:
         raise ValueError("Theta must be a square matrix")
+    if not np.isfinite(Theta).all():
+        raise ValueError("Theta must be finite")
     if np.max(np.abs(Theta + Theta.T)) > 1e-14:
         raise ValueError("Theta must be antisymmetric")
     return np.triu(Theta, 1) - np.triu(Theta, 1).T

@@ -1,13 +1,12 @@
 """Vertical star products at finite order in the deformation parameter.
 
-Every product carries one vertical Poisson bivector theta and one of two
-kernels:
-  * 'moyal'            - exact Weyl-Moyal product for theta constant in v:
-                         moyal_constant (constant Theta) and moyal_fiberwise
-                         (Theta depending on the base point),
-  * 'general_vertical' - order-<=2 product for a general vertical Poisson
-                         bivector, with Kontsevich's closed-form second-order
-                         operator.
+A star product is one vertical Poisson bivector theta and an order; its kernel
+at a point follows theta there: the exact Weyl-Moyal product where theta's
+fiber jet is a constant Theta (on theta's plateau; everywhere for a theta
+constant in v, as moyal_constant and moyal_fiberwise build it), else the
+order-<=2 general vertical product with Kontsevich's closed-form second-order
+operator (the transition annulus; beyond the support, where theta vanishes, it
+is the pointwise product).  An order above 2 needs a theta constant in v.
 
 All products differentiate only fiber directions and are computed on jets in
 the n fiber variables (the base point, if any, is a constant of the jet walk),
@@ -31,7 +30,7 @@ from .poisson import (VerticalMultivector, constant_theta, jacobi_defect,
 from .smoothfn import SmoothMap, eval_jet, eval_jets
 
 # ---------------------------------------------------------------------------
-# doubled-jet machinery for Moyal modes
+# doubled-jet machinery for the Moyal kernel
 #
 # The tensor product f x g of two jets in d variables is a "pair jet" indexed
 # by pairs (alpha, beta) with |alpha| + |beta| <= D.  The Moyal bidifferential
@@ -151,7 +150,7 @@ def _moyal_star_jets(Theta, F, G, out_orders):
 
 
 # ---------------------------------------------------------------------------
-# general vertical mode (order <= 2)
+# the general vertical kernel (order <= 2)
 # ---------------------------------------------------------------------------
 
 # weights of T_a and T_b in the second-order operator C_2; derived in
@@ -222,25 +221,19 @@ def _vertical_star_jets(theta, F, G, x, out_orders):
 
 @dataclass(eq=False)
 class StarProduct:
-    """A star product built from the vertical Poisson bivector theta: the
-    Weyl-Moyal product (mode 'moyal', theta constant in v) or the order-<=2
-    general vertical product (mode 'general_vertical').  Its domain, the
-    picture, is theta's: 'tm' for functions of (p, v), 'fiber' for functions
-    of v.  It acts on jets in the n fiber variables; F and G of star_jets are
-    such jets."""
+    """The star product of order lambda_order of the vertical Poisson bivector
+    theta: Weyl-Moyal where theta's fiber jet is a constant Theta (see
+    constant_theta_at), the order-<=2 general vertical product elsewhere.  Its
+    domain, the picture, is theta's: 'tm' for functions of (p, v), 'fiber' for
+    functions of v.  It acts on jets in the n fiber variables; F and G of
+    star_jets are such jets."""
 
-    mode: str
     lambda_order: int
     theta: VerticalMultivector
 
     def __post_init__(self):
-        if self.mode not in ("moyal", "general_vertical"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "general_vertical" and self.lambda_order > 2:
-            raise ValueError("general vertical star products support order <= 2 only")
-        if self.mode == "moyal" and not _constant_in_v(self.theta):
-            raise ValueError("mode 'moyal' needs a theta constant in v; "
-                             "use 'general_vertical' for a varying one")
+        if self.lambda_order > 2 and not _constant_in_v(self.theta):
+            raise ValueError("an order above 2 needs a theta constant in v")
 
     @property
     def n(self) -> int:
@@ -250,6 +243,19 @@ class StarProduct:
     def picture(self) -> str:
         return "tm" if self.theta.fiber_offset > 0 else "fiber"
 
+    def constant_theta_at(self, x):
+        """Theta where theta's fiber jet at x is that constant (on theta's
+        plateau; anywhere for a theta constant in v), else None: at annulus and
+        outside points, and at NaN points off the plateau up to order 2, where
+        the vertical kernel's walk of theta carries the NaN (above order 2 Moyal
+        is the only kernel).  The plateau is read first and builds no array."""
+        theta, plateau = self.theta, self.theta.plateau
+        if plateau and np.linalg.norm(x[theta.fiber_offset:]) < plateau[0]:
+            return plateau[1]
+        if self.lambda_order <= 2 and np.isnan(x).any():
+            return None
+        return theta.matrix_at(x).real if _constant_in_v(theta) else None
+
     def star_jets(self, F, G, x, out_orders):
         """Series of jets of F * G at x; F, G are lists of jets per order in
         the deformation parameter."""
@@ -258,11 +264,9 @@ class StarProduct:
         if len(x) != self.theta.ambient_dim:
             raise ValueError(f"a point of length {len(x)} is not in the "
                              f"{self.picture!r} domain of n = {self.n}")
-        if self.mode == "general_vertical":
+        Theta = self.constant_theta_at(x)
+        if Theta is None:
             return _vertical_star_jets(self.theta, F, G, x, out_orders)
-        # theta is constant in v: Theta from the plateau, or from the base point
-        plateau = self.theta.plateau
-        Theta = plateau[1] if plateau else self.theta.matrix_at(x).real
         return _moyal_star_jets(Theta, F, G, out_orders)
 
     def star_at(self, f: SmoothMap, g: SmoothMap, x) -> FormalSeries:
@@ -273,10 +277,10 @@ class StarProduct:
         return FormalSeries(N, tuple(j.value for j in jets))
 
     def restrict(self, p) -> "StarProduct":
-        """The induced star product on the fiber over p; for mode 'moyal' the
-        constant Moyal product of Theta(p), read once."""
+        """The induced star product on the fiber over p; for a theta constant
+        in v and no plateau, the constant Moyal product of Theta(p), read once."""
         theta = restrict_to_fiber(self.theta, p)
-        if self.mode == "moyal" and not theta.plateau:
+        if not theta.plateau and _constant_in_v(self.theta):
             Theta = theta.matrix_at(np.zeros(self.n)).real
             return moyal_constant(self.n, Theta, self.lambda_order)
         return replace(self, theta=theta)
@@ -299,7 +303,7 @@ def moyal_constant(n: int, Theta, lambda_order: int, picture: str = "fiber") -> 
     theta = constant_theta(n, Theta)
     if picture == "fiber":
         theta = restrict_to_fiber(theta, np.zeros(n))
-    return StarProduct("moyal", lambda_order, theta)
+    return StarProduct(lambda_order, theta)
 
 
 def moyal_fiberwise(n: int, Theta_of_p, lambda_order: int) -> StarProduct:
@@ -316,7 +320,7 @@ def moyal_fiberwise(n: int, Theta_of_p, lambda_order: int) -> StarProduct:
                 f = Theta_of_p[j][i] * (-1.0)
             if f is not None:
                 comps[(i, j)] = sf.pullback_affine(f, A, np.zeros(n))
-    return StarProduct("moyal", lambda_order, VerticalMultivector(n, comps))
+    return StarProduct(lambda_order, VerticalMultivector(n, comps))
 
 
 def general_vertical(theta: VerticalMultivector, lambda_order: int,
@@ -345,7 +349,9 @@ def general_vertical(theta: VerticalMultivector, lambda_order: int,
     With jacobi_samples, theta is first checked to be Poisson there, and a
     ValueError is raised when the Jacobi defect reaches 1e-9.
     """
-    sp = StarProduct("general_vertical", lambda_order, theta)
+    if lambda_order > 2:
+        raise ValueError("general vertical star products support order <= 2 only")
+    sp = StarProduct(lambda_order, theta)
     if jacobi_samples is not None:
         defect = jacobi_defect(theta, jacobi_samples)
         if defect >= 1e-9:

@@ -9,9 +9,9 @@ one fixed linear functional, the vector of Gaussian moments mu_alpha =
 E[Y^alpha].  The bare delta (no smearing) is kept around as the standard
 non-positive counterexample.
 
-Where theta's jet at the base is a constant Theta (any base of a Moyal
-product, the plateau of a general vertical one), omega(f * g) is one pairing of
-the jets of f and g with the moments K of the formal Gaussian pair of
+Where the product's constant_theta_at reads a constant Theta at the base (the
+bases at which star_jets takes the Moyal kernel), omega(f * g) is one pairing
+of the jets of f and g with the moments K of the formal Gaussian pair of
 covariance (1/2)[[g, g + i Theta], [g - i Theta, g]]; other bases take the
 product's star_jets.  mu and K come from one Isserlis recursion.
 """
@@ -97,7 +97,7 @@ class CoherentState:
         # a product of another order, or a point of another domain, is left to
         # star_jets, which raises
         same = sp.lambda_order == N and len(self.base) == sp.theta.ambient_dim
-        Theta = _constant_theta_at(sp, self.base) if same else None
+        Theta = sp.constant_theta_at(self.base) if same else None
         if Theta is None:
             orders = [2 * (N - t) for t in range(N + 1)]
             return self.expect_jets(sp.star_jets(F, G, self.base, orders))
@@ -166,17 +166,6 @@ class CoherentState:
 def bare_delta(base, n: int, order: int, metric_inv=None) -> CoherentState:
     """The undeformed point evaluation (not positive for the deformed product)."""
     return CoherentState(base, n, order, metric_inv=metric_inv, smearing=False)
-
-
-def _constant_theta_at(sp: StarProduct, x):
-    """Theta where theta's jet at x is that constant (theta's plateau, or any
-    base of a Moyal product); None at annulus, outside and NaN bases."""
-    theta, x = sp.theta, np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        return None
-    if theta.plateau and np.linalg.norm(x[theta.fiber_offset:]) < theta.plateau[0]:
-        return theta.plateau[1]
-    return theta.matrix_at(x).real if sp.mode == "moyal" else None
 
 
 def _degree(H) -> int:

@@ -21,7 +21,12 @@ CONFIGS = {
     "default": None,
     "ball2": {"n": 2, **BALL, "samples": {"count": 8}},
     "ball4": {"n": 4, **BALL, "samples": {"count": 8}},
+    # order 1: theta enters only at jet order 0
+    "ball2-order1": {"n": 2, **BALL, "N_lambda": 1, "samples": {"count": 8}},
     "commuting2": {"n": 2, "star_mode": "general_vertical",
+                   "theta_spec": {"kind": "commuting_compact"}, "samples": {"count": 8}},
+    # a plateau with no declared support radius
+    "commuting3": {"n": 3, "star_mode": "general_vertical",
                    "theta_spec": {"kind": "commuting_compact"}, "samples": {"count": 8}},
     "fiberwise2": {"n": 2, "star_mode": "moyal_fiberwise", "N_lambda": 3,
                    "samples": {"count": 8}},

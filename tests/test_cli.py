@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from vertstar import cli, smoothfn as sf
 from vertstar.cli import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +18,10 @@ from vertstar.cli import (
     run_check,
     standard_symplectic,
 )
+
+
+NAN, INF = float("nan"), float("inf")
+BALL2 = {"star_mode": "general_vertical", "samples": {"count": 8}}
 
 
 def run(args, capsys):
@@ -211,6 +216,18 @@ def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
     ({"theta_spec": 3}, ["check", "assoc"]),
     ({"samples": [8]}, ["check", "assoc"]),
     ({"output": "out.json"}, ["distance", "--v", "1,0,0,0"]),
+    # NaN and infinities, one case per numeric input
+    ({"lambda_num": NAN}, ["distance", "--v", "1,0,0,0"]),
+    (None, ["lightcone", "--lambda", "nan"]),
+    (None, ["distance", "--v", "1,0,0,0", "--lambda", "inf"]),
+    ({"metric_inv": [[1, 0, 0, 0], [0, INF, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+     ["distance", "--v", "1,0,0,0"]),
+    ({"n": 2, "theta_spec": {"Theta": [[0, NAN], [NAN, 0]]}}, ["distance", "--v", "1,0"]),
+    ({"n": 2, **BALL2, "theta_spec": {"kind": "ball_compact", "r": NAN}}, ["check", "all"]),
+    ({"n": 2, **BALL2, "theta_spec": {"kind": "ball_compact", "r": NAN}}, ["pairs-demo"]),
+    ({"theta_spec": {"eps": INF}}, ["check", "assoc"]),
+    (None, ["distance", "--v", "1,nan,0,0"]),
+    (None, ["distance", "--v", "inf,0,0,0"]),
 ])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, raw, argv):
     # exit 1 means a check failed; malformed input must not reach it
@@ -285,10 +302,13 @@ def test_moyal_modes_reject_a_varying_theta(tmp_path, capsys, raw):
 
 
 @pytest.mark.parametrize("which", ["assoc", "pair-consistency"])
-def test_nan_defect_is_a_numeric_failure(tmp_path, capsys, which):
-    # a NaN Theta makes every defect NaN; the folds used to drop it and pass
-    raw = {"n": 2, "theta_spec": {"Theta": [[0.0, float("nan")], [float("nan"), 0.0]]},
-           "samples": {"count": 4}}
+def test_nan_defect_is_a_numeric_failure(tmp_path, capsys, which, monkeypatch):
+    # a NaN observable makes every defect NaN; the folds used to drop it and
+    # pass (a NaN Theta is a config error now)
+    real = cli._random_fiber_polys
+    monkeypatch.setattr(cli, "_random_fiber_polys", lambda *a, **k: [
+        f + sf.constant(NAN, f.dim) for f in real(*a, **k)])
+    raw = {"n": 2, "samples": {"count": 4}}
     with pytest.raises(ArithmeticError, match="NaN"):
         run_check(config_from_dict(raw), which)
     path = tmp_path / "cfg.json"

@@ -53,6 +53,13 @@ def test_imaginary_coefficients_rejected():
         is_formally_positive(a)
 
 
+@pytest.mark.parametrize("coeffs", [(np.nan, 1.0), (0.0, np.nan), (1.0, complex(0.0, np.nan))])
+def test_nan_coefficient_has_no_sign(coeffs):
+    # abs(nan) > tol is False: a NaN used to read as a vanishing coefficient
+    with pytest.raises(ArithmeticError, match="NaN"):
+        is_formally_positive(FormalSeries(1, coeffs))
+
+
 def test_conjugate_is_coefficientwise():
     a = FormalSeries(1, (1.0 + 2.0j, -1.0j))
     assert a.conjugate().coeffs == (1.0 - 2.0j, 1.0j)

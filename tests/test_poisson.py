@@ -302,6 +302,10 @@ def test_constructors_reject_asymmetric_theta(build):
     # asymmetric by 9e-6: no relative tolerance may let it through
     with pytest.raises(ValueError, match="antisymmetric"):
         build([[0.0, 1.0], [-1.000009, 0.0]])
+    # NaN + NaN^T is not above any tolerance
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            build([[0.0, t], [-t, 0.0]])
     assert build([[0.0, 1.0], [-1.0, 0.0]]).components
 
 

@@ -13,12 +13,13 @@ from vertstar import poisson, smoothfn as sf, starprod
 from vertstar.poisson import (
     build_ball_compact_theta,
     build_commuting_compact_theta,
+    check_antisymmetric,
     constant_theta,
     naive_scaled_theta,
     restrict_to_fiber,
     standard_symplectic,
 )
-from vertstar.jets import jet_constant, n_coeffs, partials
+from vertstar.jets import Jet, jet_constant, n_coeffs, partials
 from vertstar.smoothfn import eval_jet, eval_jets, evaluate
 from vertstar.starprod import (
     C2_WEIGHTS,
@@ -127,18 +128,22 @@ def test_moyal_fiberwise_reads_the_given_entries(given):
 
 
 def test_star_product_carries_one_theta():
-    assert [fl.name for fl in fields(starprod.StarProduct)] == [
-        "mode", "lambda_order", "theta"]
+    assert [fl.name for fl in fields(starprod.StarProduct)] == ["lambda_order", "theta"]
     ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
     fw = moyal_fiberwise(2, [[None, sf.constant(1.0, 2)], [None, None]], 2)
-    cases = [(moyal_constant(2, STD2, 2, picture="tm"), "moyal", "tm"),
-             (moyal_constant(2, STD2, 2), "moyal", "fiber"),
-             (fw, "moyal", "tm"),
-             (general_vertical(ball, 2), "general_vertical", "tm")]
-    for sp, mode, picture in cases:
-        assert (sp.mode, sp.n, sp.picture) == (mode, 2, picture)
-        spf = sp.restrict((0.3, -0.5))
-        assert (spf.mode, spf.n, spf.picture) == (mode, 2, "fiber")
+    # the kernel follows theta: Moyal at every point of a theta constant in
+    # v, the general vertical kernel in the ball's annulus
+    p, v = np.array([0.3, -0.5]), np.array([1.1, 0.0])
+    cases = [(moyal_constant(2, STD2, 2, picture="tm"), True, "tm"),
+             (moyal_constant(2, STD2, 2), True, "fiber"),
+             (fw, True, "tm"),
+             (general_vertical(ball, 2), False, "tm")]
+    for sp, constant, picture in cases:
+        for spx, x, pic in ((sp, np.concatenate([p, v]) if picture == "tm" else v, picture),
+                            (sp.restrict(p), v, "fiber")):
+            assert (spx.n, spx.picture) == (2, pic)
+            Theta = spx.constant_theta_at(x)
+            assert np.array_equal(Theta, STD2) if constant else Theta is None
     assert moyal_constant(2, STD2, 2).theta.plateau[0] == np.inf
     with pytest.raises(ValueError):
         moyal_constant(2, STD4, 2)  # Theta of the wrong size
@@ -147,20 +152,21 @@ def test_star_product_carries_one_theta():
 
 
 def test_star_product_is_validated_at_construction():
-    # an unknown mode and a general vertical order above 2 fail when the
-    # product is made, not at its first use
+    # an order above 2 needs a theta constant in v, and fails when the
+    # product is made, not at its first use; general_vertical stops at order
+    # 2 for any theta
     ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
-    with pytest.raises(ValueError, match="unknown mode"):
-        starprod.StarProduct("bogus", 1, ball)
-    for make in (lambda: starprod.StarProduct("general_vertical", 3, ball),
-                 lambda: general_vertical(ball, 3)):
+    with pytest.raises(ValueError, match="constant in v"):
+        starprod.StarProduct(3, ball)
+    for theta in (ball, constant_theta(2, STD2)):
         with pytest.raises(ValueError, match="order <= 2"):
-            make()
+            general_vertical(theta, 3)
 
 
 def test_moyal_mode_rejects_a_theta_varying_in_v():
     # the restricted ball theta read i lam for [v^0, v^1] at v = (1.2, 0),
-    # outside its support; an affine pullback that reads v is not constant
+    # outside its support; an affine pullback that reads v is not constant.
+    # Above order 2 no such theta is accepted; up to order 2 each one is.
     ball = build_ball_compact_theta(2, STD2, 1.0, 0.25)
     reads_v = sf.pullback_affine(sf.coordinate(0, 2), np.hstack([np.zeros((2, 2)), np.eye(2)]),
                                  np.zeros(2))
@@ -168,13 +174,17 @@ def test_moyal_mode_rejects_a_theta_varying_in_v():
                   naive_scaled_theta(2, STD2, 1.0, 0.25),
                   poisson.VerticalMultivector(2, {(0, 1): reads_v})):
         with pytest.raises(ValueError, match="constant in v"):
-            starprod.StarProduct("moyal", 1, theta)
-    # every constructor's product, and its restriction, is accepted
+            starprod.StarProduct(3, theta)
+        assert starprod.StarProduct(2, theta).lambda_order == 2
+    # every Moyal constructor's product, and its restriction, takes order 3
     fw = moyal_fiberwise(2, [[None, sf.coordinate(0, 2) + 2.0], [None, None]], 2)
-    for sp in (moyal_constant(2, STD2, 2, picture="tm"), moyal_constant(2, STD2, 2), fw,
-               general_vertical(ball, 2)):
+    for sp in (moyal_constant(2, STD2, 2, picture="tm"), moyal_constant(2, STD2, 2), fw):
         for spx in (sp, sp.restrict((0.3, -0.5))):
-            assert replace(spx).mode == sp.mode
+            assert replace(spx, lambda_order=3).lambda_order == 3
+    gv = general_vertical(ball, 2)
+    for spx in (gv, gv.restrict((0.3, -0.5))):
+        with pytest.raises(ValueError, match="constant in v"):
+            replace(spx, lambda_order=3)
 
 
 def test_restricted_fiberwise_product_is_constant_moyal(monkeypatch):
@@ -228,6 +238,76 @@ def test_moyal_path_bypasses_poisson(monkeypatch):
         assert np.max(associativity_defect(sp, u, w, u, [pt])) < 1e-12
         var = CoherentState(pt, 2, 2).variance(sp, u)
         assert var.coeffs[0] == 0
+
+
+def test_kernel_follows_theta_at_the_point(monkeypatch):
+    # on the plateau theta's jet is the constant Theta, read off the plateau:
+    # the general vertical product builds no theta array there
+    ball = general_vertical(build_ball_compact_theta(2, STD2, 1.0, 0.25), 2)
+    f = sf.polynomial({(0, 0, 2, 1): 1.0, (1, 0, 0, 1): 0.5}, 4)
+    g = sf.polynomial({(0, 0, 1, 2): -1.0, (0, 1, 1, 0): 2.0}, 4)
+    x = np.array([0.3, -0.2, 0.4, 0.5])  # |v| < 1
+    F, G = ([J] for J in eval_jets([f, g], x, 4, fiber=2))
+    ref = starprod._moyal_star_jets(STD2, F, G, [4, 2, 0])
+    # a NaN point takes the vertical kernel up to order 2, whose walk of theta
+    # carries the NaN; above order 2 theta is constant in v and stays Moyal
+    nan = np.array([0.3, -0.2, np.nan, 0.5])
+    assert ball.constant_theta_at(nan) is None
+    assert moyal_constant(2, STD2, 2, picture="tm").constant_theta_at(nan) is None
+    assert np.array_equal(moyal_constant(2, STD2, 3, picture="tm").constant_theta_at(nan), STD2)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("theta array built on the plateau")
+
+    monkeypatch.setattr(poisson, "theta_matrix", fail)
+    monkeypatch.setattr(starprod, "theta_matrix", fail)
+    monkeypatch.setattr(poisson.VerticalMultivector, "matrix_at", fail)
+    out = ball.star_jets(F, G, x, [4, 2, 0])
+    assert [j.c.tobytes() for j in out] == [j.c.tobytes() for j in ref]
+
+
+def _random_jets(rng, n, orders, base):
+    return [Jet(n, k, tuple(base), rng.uniform(-1, 1, n_coeffs(n, k))
+                + 1j * rng.uniform(-1, 1, n_coeffs(n, k))) for k in orders]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["constant-tm", "ball-tm", "ball-fiber", "commuting-fiber"]),
+       st.integers(1, 4), st.integers(0, 2), st.sampled_from(["values", "assoc", "states"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_vertical_kernel_is_moyal_where_theta_is_constant(kind, n, N, pattern, seed):
+    # star_jets no longer runs the vertical kernel where theta's jet is the
+    # constant Theta; there it must still reduce to Moyal's
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, (n, n))
+    Theta = A - A.T
+    p, v = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    if kind == "constant-tm":
+        theta = constant_theta(n, Theta)
+    else:
+        build = {"ball": build_ball_compact_theta,
+                 "commuting": build_commuting_compact_theta}[kind.split("-")[0]]
+        theta = build(n, Theta, 1.0, 0.25)
+        v *= rng.uniform(0.0, 0.95) / max(np.linalg.norm(v), 1e-3)  # on the plateau |v| < 1
+    x = v if kind.endswith("fiber") else np.concatenate([p, v])
+    if kind.endswith("fiber"):
+        theta = restrict_to_fiber(theta, p)
+    # the (F, G, out_orders) shapes of the checks, the two associativity
+    # products and the states
+    values = [0] * (N + 1)
+    shapes = {"values": [([N], [N], values)],
+              "assoc": [([2 * N], [2 * N], [N - t for t in range(N + 1)]),
+                        ([N - t for t in range(N + 1)], [2 * N], values)],
+              "states": [([2 * N] * int(rng.integers(1, N + 2)),
+                          [2 * N] * int(rng.integers(1, N + 2)),
+                          [2 * (N - t) for t in range(N + 1)])]}[pattern]
+    for f_orders, g_orders, out_orders in shapes:
+        F, G = _random_jets(rng, n, f_orders, x), _random_jets(rng, n, g_orders, x)
+        got = starprod._vertical_star_jets(theta, F, G, x, out_orders)
+        ref = starprod._moyal_star_jets(check_antisymmetric(Theta), F, G, out_orders)
+        for a, b in zip(got, ref):
+            assert a.order == b.order
+            assert np.max(np.abs(a.c - b.c)) <= 1e-12 * max(1.0, np.max(np.abs(b.c)))
 
 
 def test_solve_C2_rejects_non_poisson():

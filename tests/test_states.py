@@ -124,6 +124,13 @@ def test_uncertainty_trivial_cases(sp4, rng):
     assert rep["holds"]
 
 
+def test_uncertainty_of_a_nan_observable_is_a_numeric_failure(sp4):
+    # a NaN variance has no sign; it used to read as zero, and the check held
+    st = CoherentState((0.2, 0.1, -0.3, 0.4), 4, 2)
+    with pytest.raises(ArithmeticError, match="NaN"):
+        st.uncertainty_check(sp4, sf.constant(np.nan, 4), sf.coordinate(1, 4))
+
+
 def test_cauchy_schwarz(sp4, rng):
     st = CoherentState((0.1, 0.4, -0.2, 0.0), 4, 2)
     for _ in range(10):
@@ -404,7 +411,7 @@ def test_pairing_matches_star_jets(kind, n, N, smearing, seed):
     sp, base, g = pairing_case(kind, n, N, rng)
     N = sp.lambda_order
     state = CoherentState(base, n, N, metric_inv=g, smearing=smearing)
-    assert states._constant_theta_at(sp, state.base) is not None
+    assert sp.constant_theta_at(state.base) is not None
     F, G = random_series(rng, n, N, base), random_series(rng, n, N, base)
     got = np.array(state._star_expect_jets(sp, F, G).coeffs)
     ref = np.array(star_jets_expect(state, sp, F, G).coeffs)
