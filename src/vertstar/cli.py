@@ -195,6 +195,10 @@ def series_to_json(s: FormalSeries) -> list:
 def write_output(payload, cfg: ExperimentConfig, csv_rows=None, csv_header=None):
     """Emit JSON (the full payload) or CSV (the tabular part) to the
     configured destination; stdout when no path is set."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN and infinities are not JSON
+        raise ArithmeticError(f"{payload['command']}: the output is not finite") from exc
     if cfg.out_format == "csv":
         if csv_rows is None:
             raise ConfigError("csv output is not available for this command")
@@ -204,8 +208,6 @@ def write_output(payload, cfg: ExperimentConfig, csv_rows=None, csv_header=None)
         for row in csv_rows:
             w.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
         text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if cfg.out_path:
         with open(cfg.out_path, "w") as fh:
             fh.write(text)
@@ -221,11 +223,13 @@ def write_output(payload, cfg: ExperimentConfig, csv_rows=None, csv_header=None)
 def cmd_lightcone(cfg: ExperimentConfig, args) -> int:
     if cfg.lambda_num is None:
         raise ConfigError("lightcone requires lambda_num (--lambda)")
+    if cfg.n < 2:
+        raise ConfigError(f"lightcone needs a time and a space axis, n >= 2, not {cfg.n}")
     if args.grid_points < 1:
         raise ConfigError("--grid-points must be >= 1")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     rows = lightcone_profile(cfg.lambda_num, grid, n=cfg.n, order=cfg.N_lambda,
-                             verify=args.verify)
+                             metric_inv=cfg.metric_inv, verify=args.verify)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "lightcone",
@@ -255,7 +259,7 @@ def cmd_distance(cfg: ExperimentConfig, args) -> int:
         "v": [float(x) for x in v],
         "expectation": series_to_json(expectation),
         "variance": series_to_json(variance),
-        "causal_class": causal_class(v, lam),
+        "causal_class": causal_class(expectation, lam),
     }
     if cfg.lambda_num is not None:
         payload["expectation_numeric"] = float(np.real(expectation.substitute(lam)))
@@ -434,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--grid-max", type=float, default=1.0)
     lc.add_argument("--grid-points", type=int, default=21)
     lc.add_argument("--verify", action="store_true",
-                    help="cross-check each row against the expectation root")
+                    help="check each root against the expectation pipeline")
 
     d = sub.add_parser("distance", help="distance-square measurement at a fiber point")
     common(d)

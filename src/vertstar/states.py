@@ -265,57 +265,56 @@ def lorentz_square(n: int = 4, dim: int = None) -> SmoothMap:
 # ---------------------------------------------------------------------------
 
 
-def lightcone_v0(lam: float, spatial_norm: float) -> float:
-    """Positive root of the deformed Lorentz square: v0 = sqrt(lam + |s|^2)."""
+def lightcone_v0(lam: float, spatial_norm: float, n: int = 4, order: int = 2,
+                 metric_inv=None) -> float:
+    """Positive root in v0 of omega_v(f_eta) = v0^2 - |s|^2 + (lam/2) tr(g eta)
+    (no lam term at order 0), read off the closed form at v = (0, s):
+    v0^2 = -omega_(0,s)(f_eta)."""
     if lam < 0:
         raise ValueError("the deformation parameter must be nonnegative")
-    return float(np.sqrt(lam + spatial_norm ** 2))
+    if n < 2:
+        raise ValueError(f"the light cone needs a time and a space axis, n >= 2, not {n}")
+    state = CoherentState((0.0, spatial_norm) + (0.0,) * (n - 2), n, order,
+                          metric_inv=metric_inv)
+    omega = QuadraticObservable(minkowski_metric(n)).expect_closed_form(state)
+    # 0.0 - x, not -x: a root at zero is 0.0, never -0.0
+    q = 0.0 - float(np.real(omega.substitute(lam)))
+    if q < 0:
+        raise ArithmeticError(f"no real light-cone root at |s| = {spatial_norm!r}: "
+                              f"|s|^2 - (lam/2) tr(g eta) = {q!r} < 0")
+    return float(np.sqrt(q))
 
 
-def expectation_root(lam: float, spatial_norm: float, n: int = 4,
-                     order: int = 2, metric_inv=None) -> float:
-    """v0 at which the numeric expectation of the Lorentz square vanishes,
-    found by bracketing and bisection on the generic expectation pipeline."""
-    from scipy import optimize  # here, so that importing vertstar loads no scipy
-
-    f_eta = lorentz_square(n)
-
-    def h(v0):
-        base = np.zeros(n)
-        base[0] = v0
-        base[1] = spatial_norm
-        state = CoherentState(base, n, order, metric_inv=metric_inv)
-        return float(np.real(state.expect(f_eta).substitute(lam)))
-
-    hi = np.sqrt(lam + spatial_norm ** 2) + 1.0
-    return float(optimize.brentq(h, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
-
-
-def causal_class(v, lam: float, tol: float = 1e-12) -> str:
-    """Causal type of a fiber vector against the deformed cone
-    v0^2 = lam + |s|^2."""
-    v = np.asarray(v, dtype=float)
-    q = v[0] ** 2 - float(v[1:] @ v[1:]) - lam
-    if q > tol:
-        return "timelike"
-    if q < -tol:
-        return "spacelike"
-    return "lightlike"
+def causal_class(expectation: FormalSeries, lam: float, tol: float = 1e-12) -> str:
+    """Causal type of a fiber point v from its Lorentz-square expectation
+    omega_v(f_eta): timelike where it exceeds tol at lam, spacelike where it
+    is below -tol, lightlike between."""
+    q = float(np.real(expectation.substitute(lam)))
+    if np.isnan(q):
+        raise ArithmeticError("the Lorentz-square expectation is NaN")
+    return "timelike" if q > tol else "spacelike" if q < -tol else "lightlike"
 
 
 def lightcone_profile(lam: float, spatial_norms, n: int = 4, order: int = 2,
-                      verify: bool = False) -> list:
+                      metric_inv=None, verify: bool = False) -> list:
     """Rows (spatial_norm, v0_classical, v0_deformed) of the deformed light
-    cone; with verify=True the closed form is checked against the root of the
-    numeric expectation."""
+    cone.  With verify=True the generic expectation pipeline is evaluated once
+    at each root: its residual r and slope d = d omega_v(f_eta) / d v0, read
+    off the same jet, must give a Newton step |r / d| (sqrt|r| where d = 0)
+    of at most 1e-10."""
+    f_eta = lorentz_square(n)
     rows = []
     for s in spatial_norms:
         s = float(s)
-        v0 = lightcone_v0(lam, s)
+        v0 = lightcone_v0(lam, s, n, order, metric_inv)
         if verify:
-            root = expectation_root(lam, s, n=n, order=order)
-            if abs(root - v0) > 1e-10:
-                raise ArithmeticError(
-                    f"light-cone root {root!r} deviates from closed form {v0!r}")
+            state = CoherentState((v0, s) + (0.0,) * (n - 2), n, order, metric_inv=metric_inv)
+            F = eval_jet(f_eta, state.base, 2 * order + 1, fiber=n)
+            r, d = (float(np.real(state.expect_jets([J]).substitute(lam)))
+                    for J in (F, F.deriv(0)))
+            step = abs(r / d) if d else abs(r) ** 0.5
+            if not step <= 1e-10:
+                raise ArithmeticError(f"light-cone root {v0!r} at |s| = {s!r}: the "
+                                      f"expectation pipeline's Newton step is {step!r}")
         rows.append((s, abs(s), v0))
     return rows

@@ -53,6 +53,9 @@ def commands(configs: dict) -> dict:
                              *cfg("ball3-dense")]
     out["lightcone-verify"] = ["lightcone", "--lambda", "0.04", "--grid-max", "3.0",
                                "--grid-points", "8", "--verify"]
+    # n = 3 and a dense metric: the cone v0^2 = |s|^2 - (lambda/2) tr(g eta)
+    out["lightcone-ball3"] = ["lightcone", "--lambda", "0.04", "--grid-max", "3.0",
+                              "--grid-points", "8", "--verify", *cfg("ball3-dense")]
     out["pairs-demo"] = ["pairs-demo", "--order", "2"]
     return out
 

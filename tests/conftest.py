@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from vertstar import smoothfn as sf
 from vertstar.formal import FormalSeries
 from vertstar.jets import Jet, jet_compose_univariate, jet_constant, multi_indices, n_coeffs
 from vertstar.smoothfn import SmoothMap
+from vertstar.states import CoherentState, lorentz_square
 
 
 def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
@@ -97,6 +99,24 @@ def gaussian_moments_expjet(g, order: int) -> np.ndarray:
     e = jet_compose_univariate([1.0 / math.factorial(k) for k in range(order + 1)], q)
     fact = [math.prod(map(math.factorial, a)) for a in multi_indices(n, order)]
     return e.c.real * fact
+
+
+def expectation_root(lam: float, spatial_norm: float, n: int = 4,
+                     order: int = 2, metric_inv=None) -> float:
+    """v0 at which the numeric expectation of the Lorentz square vanishes,
+    found by bracketing and bisection on the generic expectation pipeline.
+    The reference for the closed-form cone `states.lightcone_v0`."""
+    f_eta = lorentz_square(n)
+
+    def h(v0):
+        base = np.zeros(n)
+        base[0] = v0
+        base[1] = spatial_norm
+        state = CoherentState(base, n, order, metric_inv=metric_inv)
+        return float(np.real(state.expect(f_eta).substitute(lam)))
+
+    hi = np.sqrt(lam + spatial_norm ** 2) + 1.0
+    return float(optimize.brentq(h, 0.0, hi, xtol=1e-14, rtol=8.9e-16))
 
 
 @pytest.fixture

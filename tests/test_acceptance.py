@@ -30,13 +30,13 @@ from vertstar.states import (
     CoherentState,
     QuadraticObservable,
     bare_delta,
-    expectation_root,
     lightcone_v0,
     lorentz_square,
     minkowski_metric,
 )
 
-from conftest import random_poly, star_square_expect_closed_form, variance_closed_form
+from conftest import (expectation_root, random_poly, star_square_expect_closed_form,
+                      variance_closed_form)
 
 STD2 = standard_symplectic(2)
 STD4 = standard_symplectic(4)

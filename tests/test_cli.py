@@ -18,10 +18,12 @@ from vertstar.cli import (
     run_check,
     standard_symplectic,
 )
+from vertstar.states import CoherentState, lorentz_square
 
 
 NAN, INF = float("nan"), float("inf")
 BALL2 = {"star_mode": "general_vertical", "samples": {"count": 8}}
+DIAG2 = np.diag([2.0, 1.0, 1.0, 1.0]).tolist()
 
 
 def run(args, capsys):
@@ -228,6 +230,9 @@ def test_invalid_metric_or_theta_rejected(tmp_path, capsys, raw, argv):
     ({"theta_spec": {"eps": INF}}, ["check", "assoc"]),
     (None, ["distance", "--v", "1,nan,0,0"]),
     (None, ["distance", "--v", "inf,0,0,0"]),
+    # the cone needs a space axis
+    ({"n": 1}, ["lightcone", "--lambda", "0.04"]),
+    ({"n": 1}, ["lightcone", "--lambda", "0.04", "--verify"]),
 ])
 def test_malformed_input_is_a_config_error(tmp_path, capsys, raw, argv):
     # exit 1 means a check failed; malformed input must not reach it
@@ -329,3 +334,61 @@ def test_pairs_demo_reports_only_a_declared_support_radius(tmp_path, capsys):
     assert payload["rows"][-1]["separation"] == pytest.approx(2.2 * 1.25)
     code, out, _ = run(["pairs-demo", "--grid-points", "3"], capsys)
     assert code == 0 and json.loads(out)["support_radius"] == 1.25
+
+
+@pytest.mark.parametrize("raw, extra", [
+    ({"n": 2}, []), ({"n": 3}, []), ({"metric_inv": DIAG2}, []), (None, ["--order", "0"]),
+])
+def test_lightcone_follows_n_metric_and_order(tmp_path, capsys, raw, extra):
+    # v0^2 = lambda + |s|^2, the cone of n = 4, g = 1 and order >= 1, is wrong
+    # for each: every printed v0 must zero the pipeline's expectation
+    argv = ["lightcone", "--lambda", "0.04", "--grid-max", "2.0", "--grid-points", "5",
+            "--verify", *extra]
+    if raw is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv += ["--config", str(path)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    cfg = cli.apply_overrides(config_from_dict(raw or {}), cli.build_parser().parse_args(argv))
+    for row in json.loads(out)["rows"]:
+        base = (row["v0_deformed"], row["spatial_norm"]) + (0.0,) * (cfg.n - 2)
+        st = CoherentState(base, cfg.n, cfg.N_lambda, metric_inv=cfg.metric_inv)
+        assert abs(st.expect(lorentz_square(cfg.n)).substitute(0.04)) <= 1e-12
+
+
+@pytest.mark.parametrize("raw, v", [({"n": 3}, "0.16,0,0"), ({"metric_inv": DIAG2}, "0.16,0,0,0")])
+def test_distance_class_is_the_sign_of_its_expectation(tmp_path, capsys, raw, v):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(["distance", "--v", v, "--lambda", "0.04", "--config", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["expectation_numeric"] == pytest.approx(0.0056)
+    assert payload["causal_class"] == "timelike"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("raw, argv, message", [
+    (None, ["distance", "--v", "1e200,0,0,0"], "NaN"),
+    (None, ["lightcone", "--lambda", "0.04", "--grid-max", "1e200"], "not finite"),
+    # g = diag(5, 1, 1, 1): v0^2 = |s|^2 - lambda, no real root at |s|^2 < lambda
+    ({"metric_inv": np.diag([5.0, 1.0, 1.0, 1.0]).tolist()},
+     ["lightcone", "--lambda", "0.04", "--grid-points", "3"], "|s| = 0.0"),
+])
+def test_no_finite_answer_is_a_numeric_failure(tmp_path, capsys, raw, argv, message):
+    if raw is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == "" and err.startswith("numeric failure:") and message in err
+
+
+def test_lightcone_verify_needs_no_scipy():
+    code = ("import sys; sys.modules['scipy'] = None; from vertstar.cli import main; "
+            "sys.exit(main(['lightcone', '--lambda', '0.04', '--verify']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

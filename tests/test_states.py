@@ -21,15 +21,14 @@ from vertstar.states import (
     QuadraticObservable,
     bare_delta,
     causal_class,
-    expectation_root,
     lightcone_profile,
     lightcone_v0,
     lorentz_square,
     minkowski_metric,
 )
 
-from conftest import (conjugate, gaussian_moments_expjet, jet_laplacian, random_poly,
-                      star_square_expect_closed_form, variance_closed_form)
+from conftest import (conjugate, expectation_root, gaussian_moments_expjet, jet_laplacian,
+                      random_poly, star_square_expect_closed_form, variance_closed_form)
 
 STD4 = standard_symplectic(4)
 
@@ -194,6 +193,16 @@ def test_lightcone_closed_form_and_root():
     assert abs(root - np.sqrt(0.02)) < 1e-12
     with pytest.raises(ValueError):
         lightcone_v0(-0.1, 0.0)
+    # v0^2 = |s|^2 - (lambda/2) tr(g eta), with no lambda term at order 0
+    assert lightcone_v0(0.04, 0.3, n=3) == pytest.approx(np.sqrt(0.11))
+    assert lightcone_v0(0.04, 0.3, n=2) == pytest.approx(0.3)
+    assert lightcone_v0(0.04, 0.3, order=0) == pytest.approx(0.3)
+    g5 = np.diag([5.0, 1.0, 1.0, 1.0])
+    assert lightcone_v0(0.04, 0.3, metric_inv=g5) == pytest.approx(np.sqrt(0.05))
+    with pytest.raises(ArithmeticError, match=r"\|s\| = 0\.1"):
+        lightcone_v0(0.04, 0.1, metric_inv=g5)
+    with pytest.raises(ValueError, match="n >= 2"):
+        lightcone_v0(0.04, 0.1, n=1)
 
 
 def test_lightcone_profile_monotone_approach():
@@ -203,11 +212,67 @@ def test_lightcone_profile_monotone_approach():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))  # strictly shrinking
 
 
+def test_verify_rejects_a_wrong_root(monkeypatch):
+    real = states.lightcone_v0
+    # a root off by 1e-8; the slope 2 v0 is nonzero there
+    monkeypatch.setattr(states, "lightcone_v0", lambda *a: real(*a) * (1 + 1e-8))
+    with pytest.raises(ArithmeticError, match="Newton step"):
+        lightcone_profile(0.04, [0.5], verify=True)
+    # v0 = 0 where the root is sqrt(lambda): the slope vanishes, and sqrt|r| is
+    # the root's error
+    monkeypatch.setattr(states, "lightcone_v0", lambda *a: 0.0)
+    assert lightcone_profile(1e-22, [0.0], verify=True) == [(0.0, 0.0, 0.0)]
+    with pytest.raises(ArithmeticError, match="Newton step"):
+        lightcone_profile(1e-18, [0.0], verify=True)
+
+
 def test_causal_class():
-    assert causal_class((1.0, 0.0, 0.0, 0.0), 0.5) == "timelike"
-    assert causal_class((1.0, 1.0, 0.0, 0.0), 0.01) == "spacelike"
-    assert causal_class((0.0, 0.0, 0.0, 0.0), 0.0) == "lightlike"
-    assert causal_class((np.sqrt(1.04), 1.0, 0.0, 0.0), 0.04) == "lightlike"
+    def cls(v, lam):
+        omega = QuadraticObservable(minkowski_metric(4)).expect_closed_form(
+            CoherentState(v, 4, 2))
+        return causal_class(omega, lam)
+
+    assert cls((1.0, 0.0, 0.0, 0.0), 0.5) == "timelike"
+    assert cls((1.0, 1.0, 0.0, 0.0), 0.01) == "spacelike"
+    assert cls((0.0, 0.0, 0.0, 0.0), 0.0) == "lightlike"
+    assert cls((np.sqrt(1.04), 1.0, 0.0, 0.0), 0.04) == "lightlike"
+    with pytest.raises(ArithmeticError, match="NaN"):
+        causal_class(FormalSeries(1, (math.nan, -1.0)), 0.04)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(2, 6), hst.integers(0, 3), hst.floats(0.0, 0.1), hst.floats(0.0, 2.0),
+       hst.integers(0, 2 ** 32 - 1))
+def test_closed_form_cone_zeroes_the_pipeline(n, order, lam, s, seed):
+    g = random_spd(np.random.default_rng(seed), n)
+    f_eta = lorentz_square(n)
+
+    def state(v0):
+        return CoherentState((v0, s) + (0.0,) * (n - 2), n, order, metric_inv=g)
+
+    def expect(v0):
+        return float(np.real(state(v0).expect(f_eta).substitute(lam)))
+
+    def closed_form_class(v0):
+        omega = QuadraticObservable(minkowski_metric(n)).expect_closed_form(state(v0))
+        return causal_class(omega, lam)
+
+    try:
+        v0 = lightcone_v0(lam, s, n, order, g)
+    except ArithmeticError:
+        # no real root: the pipeline is positive on the whole v0 axis
+        assert expect(0.0) > -1e-12 * (1 + s ** 2)
+        return
+    assert abs(expect(v0)) <= 1e-12 * (1 + s ** 2)
+    assert lightcone_profile(lam, [s], n, order, g, verify=True) == [(s, s, v0)]
+    delta = 1e-3
+    for u in (v0 + delta, v0 - delta):
+        e = expect(u)
+        want = "timelike" if e > 1e-12 else "spacelike" if e < -1e-12 else "lightlike"
+        assert closed_form_class(u) == want
+    assert closed_form_class(v0 + delta) == "timelike"
+    if v0 > delta:
+        assert closed_form_class(v0 - delta) == "spacelike"
 
 
 def trust_report(state, sp) -> dict:
