@@ -7,7 +7,6 @@ graded order, which makes truncation to a lower order a prefix slice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,16 +99,6 @@ class Jet:
     @property
     def value(self):
         return self.c[0]
-
-    def partial(self, alpha) -> complex:
-        """The raw partial derivative d^alpha f(base) = alpha! * c[alpha]."""
-        alpha = tuple(alpha)
-        if sum(alpha) > self.order:
-            raise ValueError(f"|alpha|={sum(alpha)} exceeds jet order {self.order}")
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return fact * self.c[index_lookup(self.dim, self.order)[alpha]]
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:

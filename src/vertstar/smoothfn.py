@@ -12,67 +12,67 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import (Jet, jet_compose_univariate, jet_constant, jet_variable,
-                   multi_indices, n_coeffs)
+from .jets import Jet, jet_compose_univariate, jet_constant, multi_indices, n_coeffs
 
 
 # ---------------------------------------------------------------------------
 # univariate elementaries
 # ---------------------------------------------------------------------------
+# The profiles build their Taylor coefficients at a point t0 on plain lists c
+# of K + 1 floats, c[k] = f^(k)(t0) / k!.  Products, quotients, exp and sqrt
+# of such series follow from the standard coefficient recurrences in O(K^2)
+# scalar operations (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+# ch. 13), and the derivative has the coefficients (k + 1) c[k + 1].
 
 
-class ExpElem:
-    """exp(t)."""
-
-    def taylor(self, t, order):
-        v = np.exp(t)
-        return np.array([v / math.factorial(k) for k in range(order + 1)], dtype=complex)
+def _linear(c0: float, c1: float, order: int) -> list:
+    """The series of c0 + c1 (t - t0)."""
+    return ([c0, c1] + [0.0] * order)[:order + 1]
 
 
-def _u_jet(t0: float, order: int) -> Jet:
-    return jet_variable(0, (t0,), 1, order)
+def _mul(a: list, b: list) -> list:
+    """a b: the convolution of the coefficients, truncated."""
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
 
-def _recip_jet(j: Jet) -> Jet:
-    u0 = j.value
-    if u0 == 0:
-        raise ZeroDivisionError("reciprocal of a jet with zero value")
-    outer = np.array([(-1.0) ** k / u0 ** (k + 1) for k in range(j.order + 1)], dtype=complex)
-    return jet_compose_univariate(outer, j)
+def _quot(a: list, b: list) -> list:
+    """a / b, from b c = a: c[k] = (a[k] - sum_{j >= 1} b[j] c[k - j]) / b[0]."""
+    if b[0] == 0:
+        raise ZeroDivisionError("reciprocal of a series with zero value")
+    c = []
+    for k in range(len(a)):
+        c.append((a[k] - sum(b[j] * c[k - j] for j in range(1, k + 1))) / b[0])
+    return c
 
 
-def _exp_jet(j: Jet) -> Jet:
-    return jet_compose_univariate(ExpElem().taylor(j.value, j.order), j)
+def _exp(a: list) -> list:
+    """exp(a), from e' = a' e: k e[k] = sum_{j >= 1} j a[j] e[k - j]."""
+    e = [math.exp(a[0])]
+    for k in range(1, len(a)):
+        e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+    return e
 
 
-def _sqrt_jet(j: Jet) -> Jet:
-    u0 = j.value.real
-    outer = np.empty(j.order + 1, dtype=complex)
-    coef = math.sqrt(u0)
-    outer[0] = coef
-    for k in range(1, j.order + 1):
-        coef *= (0.5 - (k - 1)) / (k * u0)
-        outer[k] = coef
-    return jet_compose_univariate(outer, j)
+def _sqrt(a: list) -> list:
+    """sqrt(a), from r r = a: 2 r[0] r[k] = a[k] - sum_{0 < j < k} r[j] r[k - j]."""
+    r = [math.sqrt(a[0])]
+    for k in range(1, len(a)):
+        r.append((a[k] - sum(r[j] * r[k - j] for j in range(1, k))) / (2.0 * r[0]))
+    return r
 
 
-def _smoothstep_jet(s_jet: Jet) -> Jet:
-    """Jet of h(s) = sigma(s) / (sigma(s) + sigma(1-s)), sigma(s) = exp(-1/s).
-
-    h is the canonical smooth step: 0 below s=0, 1 above s=1, flat at both
-    glue points.  Valid for s strictly inside (0, 1).
-    """
-    sig_s = _exp_jet(-_recip_jet(s_jet))
-    sig_1ms = _exp_jet(-_recip_jet(1.0 - s_jet))
-    return sig_s * _recip_jet(sig_s + sig_1ms)
-
-
-def _ramp_taylor(s0: float, order: int) -> np.ndarray:
-    """Taylor coefficients of 1 - h(s) at s0.  h is flat at both glue points,
-    so they are exactly (1, 0, ...) for s0 <= 0 and 0 for s0 >= 1."""
-    if s0 <= 0.0 or s0 >= 1.0:
-        return np.array([float(s0 <= 0.0)] + [0.0] * order, dtype=complex)
-    return (1.0 - _smoothstep_jet(_u_jet(s0, order))).c
+def _ramp(s: list) -> list:
+    """Series of 1 - h(s) for a series s, with h(s) = sigma(s) / (sigma(s) +
+    sigma(1 - s)), sigma(s) = exp(-1/s), the canonical smooth step: 0 below
+    s = 0, 1 above s = 1, flat at both glue points, so there the series is
+    exactly (1, 0, ...) and 0.  Inside, 1 - h is taken as
+    sigma(1 - s) / (sigma(s) + sigma(1 - s)), which does not cancel near s = 1."""
+    if s[0] <= 0.0 or s[0] >= 1.0:
+        return _linear(float(s[0] <= 0.0), 0.0, len(s) - 1)
+    minus_one = _linear(-1.0, 0.0, len(s) - 1)
+    sig_s = _exp(_quot(minus_one, s))
+    sig_1ms = _exp(_quot(minus_one, [1.0 - s[0]] + [-c for c in s[1:]]))
+    return _quot(sig_1ms, [a + b for a, b in zip(sig_s, sig_1ms)])
 
 
 class _Profile:
@@ -89,33 +89,27 @@ class BumpElem(_Profile):
     """Even bump in t: 1 on [-r, r], smooth monotone ramp, 0 beyond r + eps."""
 
     def taylor(self, t, order):
-        out = np.zeros(order + 1, dtype=complex)
         t = float(np.real(t))
         a = abs(t)
-        if a >= self.r + self.eps:
-            return out
-        if a <= self.r:
-            out[0] = 1.0
-            return out
+        if a >= self.r + self.eps or a <= self.r:
+            return np.array(_linear(float(a <= self.r), 0.0, order), dtype=complex)
         sgn = 1.0 if t > 0 else -1.0
-        ramp = _ramp_taylor((a - self.r) / self.eps, order)
-        scale = sgn / self.eps
-        return np.array([ramp[k] * scale ** k for k in range(order + 1)], dtype=complex)
+        # the ramp argument (|t| - r) / eps is linear in t
+        s = _linear((a - self.r) / self.eps, sgn / self.eps, order)
+        return np.array(_ramp(s), dtype=complex)
 
 
 class BumpSqElem(_Profile):
     """Radial bump profile in u = |v|^2: value chi(sqrt(u)) of an even bump."""
 
     def taylor(self, u, order):
-        out = np.zeros(order + 1, dtype=complex)
-        u = float(np.real(u))
-        if u >= (self.r + self.eps) ** 2:
-            return out
-        if u <= self.r ** 2:
-            out[0] = 1.0
-            return out
-        s_jet = (_sqrt_jet(_u_jet(u, order)) - self.r) * (1.0 / self.eps)
-        return jet_compose_univariate(_ramp_taylor(s_jet.value.real, order), s_jet).c
+        return np.array(self._series(float(np.real(u)), order), dtype=complex)
+
+    def _series(self, u: float, order: int) -> list:
+        if u >= (self.r + self.eps) ** 2 or u <= self.r ** 2:
+            return _linear(float(u <= self.r ** 2), 0.0, order)
+        root = _sqrt(_linear(u, 1.0, order))
+        return _ramp([(root[0] - self.r) / self.eps] + [c / self.eps for c in root[1:]])
 
 
 class BallRampElem(BumpSqElem):
@@ -132,23 +126,21 @@ class BallRampElem(BumpSqElem):
     # below this plateau value the exact profile is far under any tolerance
     _TINY = 1e-60
 
-    def _jet(self, u: float, order: int) -> Jet:
-        chi = Jet(1, order + 1, (u,), super().taylor(u, order + 1))
-        if abs(chi.value) < self._TINY:
-            return jet_constant(0.0, (u,), 1, order)
-        dchi_du = chi.deriv(0)  # chi is a jet in u = s^2, so this is dchi/du
-        chi = chi.truncate(order)
-        # 1/sigma' = chi^2 / (chi - s chi'(s)) and chi'(s) = 2s dchi/du, so the
-        # denominator is chi - 2u dchi/du; it stays >= chi > 0 on the ramp
-        denom = chi - (_u_jet(u, order) * 2.0) * dchi_du
-        inv_sigma_prime = chi * chi * _recip_jet(denom)
-        return (inv_sigma_prime - chi) * _recip_jet(_u_jet(u, order))
-
     def taylor(self, u, order):
         u = float(np.real(u))
         if u <= self.r ** 2 or u >= (self.r + self.eps) ** 2:
             return np.zeros(order + 1, dtype=complex)
-        return self._jet(u, order).c
+        chi = self._series(u, order + 1)  # chi as a series in u = s^2
+        if abs(chi[0]) < self._TINY:
+            return np.zeros(order + 1, dtype=complex)
+        dchi = [k * chi[k] for k in range(1, order + 2)]  # dchi/du
+        chi = chi[:order + 1]
+        # 1/sigma' = chi^2 / (chi - s chi'(s)) and chi'(s) = 2s dchi/du, so
+        # m = 2 chi dchi/du / (chi - 2u dchi/du), with no cancellation; the
+        # denominator stays >= chi > 0 on the ramp
+        u_dchi = _mul(_linear(u, 1.0, order), dchi)
+        m = _quot([2.0 * c for c in _mul(chi, dchi)], [c - 2.0 * d for c, d in zip(chi, u_dchi)])
+        return np.array(m, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +224,6 @@ def pullback_affine(f: SmoothMap, A, b) -> SmoothMap:
     if A.shape[0] != f.dim or b.shape[0] != f.dim:
         raise ValueError("affine pullback shape mismatch")
     return SmoothMap(A.shape[1], "affine", (f,), payload=(A, b))
-
-
-def exp_of(f: SmoothMap) -> SmoothMap:
-    return SmoothMap(f.dim, "uni", (f,), payload=ExpElem())
 
 
 def bump_of(f: SmoothMap, r: float, eps: float) -> SmoothMap:

@@ -6,7 +6,8 @@ from scipy import optimize
 
 from vertstar import smoothfn as sf
 from vertstar.formal import FormalSeries
-from vertstar.jets import Jet, jet_compose_univariate, jet_constant, multi_indices, n_coeffs
+from vertstar.jets import (Jet, index_lookup, jet_compose_univariate, jet_constant, multi_indices,
+                           n_coeffs)
 from vertstar.smoothfn import SmoothMap
 from vertstar.states import CoherentState, lorentz_square
 
@@ -24,6 +25,29 @@ def random_poly(rng, dim, degree=3, terms=5, axes=None, complex_coeffs=False):
             c = c + 1j * rng.uniform(-1, 1)
         coeffs[tuple(m)] = coeffs.get(tuple(m), 0.0) + c
     return sf.polynomial(coeffs, dim)
+
+
+def partial(j: Jet, alpha) -> complex:
+    """The raw partial derivative d^alpha f(base) = alpha! c[alpha] of a jet:
+    the tests read derivatives off jets this way; the library works on the
+    normalized coefficients."""
+    alpha = tuple(alpha)
+    if sum(alpha) > j.order:
+        raise ValueError(f"|alpha|={sum(alpha)} exceeds jet order {j.order}")
+    return math.prod(map(math.factorial, alpha)) * j.c[index_lookup(j.dim, j.order)[alpha]]
+
+
+class ExpElem:
+    """exp(t) as a univariate elementary, for test functions built with exp_of."""
+
+    def taylor(self, t, order):
+        v = np.exp(t)
+        return np.array([v / math.factorial(k) for k in range(order + 1)], dtype=complex)
+
+
+def exp_of(f: SmoothMap) -> SmoothMap:
+    """The tree of exp(f): a `uni` node over f."""
+    return SmoothMap(f.dim, "uni", (f,), payload=ExpElem())
 
 
 def conjugate(f: SmoothMap) -> SmoothMap:

@@ -1,6 +1,7 @@
 """SmoothMap expression trees: pointwise evaluation, jets through the tree,
 bump profiles, affine pullbacks, and support metadata."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -9,12 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vertstar import smoothfn as sf, starprod, states
-from vertstar.jets import Jet, jet_constant, jet_variable, multi_indices
+from vertstar.jets import Jet, jet_compose_univariate, jet_constant, jet_variable, multi_indices
 from vertstar.poisson import (build_ball_compact_theta, build_commuting_compact_theta,
-                              naive_scaled_theta, restrict_to_fiber, standard_symplectic)
+                              naive_scaled_theta, restrict_to_fiber, standard_symplectic,
+                              theta_matrix)
 from vertstar.smoothfn import eval_jet, eval_jets, evaluate
 
-from conftest import conjugate, random_poly
+from conftest import ExpElem, conjugate, exp_of, partial, random_poly
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -31,8 +33,8 @@ def test_polynomial_eval_and_jet():
     f = sf.polynomial({(2, 1): 1.0, (0, 1): 1.0}, 2)
     assert evaluate(f, (1.0, 2.0)) == pytest.approx(4.0)
     j = eval_jet(f, (1.0, 2.0), 3)
-    assert j.partial((1, 0)) == pytest.approx(4.0)
-    assert j.partial((2, 1)) == pytest.approx(2.0)
+    assert partial(j, (1, 0)) == pytest.approx(4.0)
+    assert partial(j, (2, 1)) == pytest.approx(2.0)
 
 
 def test_arithmetic_overloads_match_pointwise():
@@ -52,8 +54,8 @@ def test_quadratic_form():
     x = np.array([0.3, -1.1])
     assert evaluate(f, x) == pytest.approx(x @ A @ x)
     j = eval_jet(f, x, 2)
-    assert j.partial((2, 0)) == pytest.approx(2 * A[0, 0])
-    assert j.partial((1, 1)) == pytest.approx(2 * A[0, 1])
+    assert partial(j, (2, 0)) == pytest.approx(2 * A[0, 0])
+    assert partial(j, (1, 1)) == pytest.approx(2 * A[0, 1])
 
 
 def test_pullback_affine_chain_rule():
@@ -68,16 +70,16 @@ def test_pullback_affine_chain_rule():
     grad_f = fd_gradient(f, A @ x + b)
     for i in range(3):
         e = tuple(int(k == i) for k in range(3))
-        assert j.partial(e) == pytest.approx((A.T @ grad_f)[i], rel=1e-6, abs=1e-8)
+        assert partial(j, e) == pytest.approx((A.T @ grad_f)[i], rel=1e-6, abs=1e-8)
 
 
 def test_exp_of_jet():
-    f = sf.exp_of(sf.polynomial({(2,): 1.0}, 1))  # exp(x^2)
+    f = exp_of(sf.polynomial({(2,): 1.0}, 1))  # exp(x^2)
     x = 0.7
     j = eval_jet(f, (x,), 2)
     assert j.value == pytest.approx(np.exp(x ** 2))
-    assert j.partial((1,)) == pytest.approx(2 * x * np.exp(x ** 2))
-    assert j.partial((2,)) == pytest.approx((2 + 4 * x ** 2) * np.exp(x ** 2))
+    assert partial(j, (1,)) == pytest.approx(2 * x * np.exp(x ** 2))
+    assert partial(j, (2,)) == pytest.approx((2 + 4 * x ** 2) * np.exp(x ** 2))
 
 
 def test_bump_plateau_and_support():
@@ -100,8 +102,8 @@ def test_bump_derivatives_match_finite_differences():
         fd1 = (evaluate(chi, (t + h,)) - evaluate(chi, (t - h,))) / (2 * h)
         fd2 = (evaluate(chi, (t + h,)) - 2 * evaluate(chi, (t,))
                + evaluate(chi, (t - h,))) / h ** 2
-        assert abs(j.partial((1,)) - fd1) <= 1e-5 * max(1.0, abs(fd1))
-        assert abs(j.partial((2,)) - fd2) <= 1e-4 * max(1.0, abs(fd2))
+        assert abs(partial(j, (1,)) - fd1) <= 1e-5 * max(1.0, abs(fd1))
+        assert abs(partial(j, (2,)) - fd2) <= 1e-4 * max(1.0, abs(fd2))
 
 
 def test_bump_is_flat_at_plateau_edge():
@@ -143,7 +145,7 @@ def _random_tree(rng, dim, depth):
     a = _random_tree(rng, dim, depth - 1)
     kind = rng.integers(6)
     if kind == 0:
-        return sf.exp_of(a * 0.25)
+        return exp_of(a * 0.25)
     if kind == 1:
         return sf.bump_of(a, 0.5, 0.5)
     if kind == 2:
@@ -205,6 +207,129 @@ def test_radial_profiles_propagate_nan(elem):
 def test_profiles_reject_degenerate_radii(elem, r, eps):
     with pytest.raises(ValueError):
         elem(r, eps)
+
+
+# The dim-1 Jet path the profiles took before their univariate recurrences,
+# kept as the reference for them.  It composes each step's Taylor coefficients
+# with a jet in the profile's argument, and takes the ramp as 1 - h and m as
+# (chi^2 / (chi - 2u dchi/du) - chi) / u.
+
+
+def _u_jet(t0, order):
+    return jet_variable(0, (t0,), 1, order)
+
+
+def _recip_jet(j):
+    u0 = j.value
+    if u0 == 0:
+        raise ZeroDivisionError("reciprocal of a jet with zero value")
+    return jet_compose_univariate([(-1.0) ** k / u0 ** (k + 1) for k in range(j.order + 1)], j)
+
+
+def _exp_jet(j):
+    return jet_compose_univariate(ExpElem().taylor(j.value, j.order), j)
+
+
+def _sqrt_jet(j):
+    u0 = j.value.real
+    outer = [math.sqrt(u0)]
+    for k in range(1, j.order + 1):
+        outer.append(outer[-1] * (0.5 - (k - 1)) / (k * u0))
+    return jet_compose_univariate(outer, j)
+
+
+def _ramp_taylor_ref(s0, order):
+    if s0 <= 0.0 or s0 >= 1.0:
+        return np.array([float(s0 <= 0.0)] + [0.0] * order, dtype=complex)
+    s = _u_jet(s0, order)
+    sig_s = _exp_jet(-_recip_jet(s))
+    sig_1ms = _exp_jet(-_recip_jet(1.0 - s))
+    return (1.0 - sig_s * _recip_jet(sig_s + sig_1ms)).c
+
+
+def _bump_ref(e, t, order):
+    a = abs(t)
+    if a >= e.r + e.eps or a <= e.r:
+        return np.array([float(a <= e.r)] + [0.0] * order, dtype=complex)
+    ramp = _ramp_taylor_ref((a - e.r) / e.eps, order)
+    return np.array([ramp[k] * (np.sign(t) / e.eps) ** k for k in range(order + 1)])
+
+
+def _bump_sq_ref(e, u, order):
+    if u >= (e.r + e.eps) ** 2 or u <= e.r ** 2:
+        return np.array([float(u <= e.r ** 2)] + [0.0] * order, dtype=complex)
+    s_jet = (_sqrt_jet(_u_jet(u, order)) - e.r) * (1.0 / e.eps)
+    return jet_compose_univariate(_ramp_taylor_ref(s_jet.value.real, order), s_jet).c
+
+
+def _ball_ramp_ref(e, u, order):
+    if u <= e.r ** 2 or u >= (e.r + e.eps) ** 2:
+        return np.zeros(order + 1, dtype=complex)
+    chi = Jet(1, order + 1, (u,), _bump_sq_ref(e, u, order + 1))
+    if abs(chi.value) < e._TINY:
+        return np.zeros(order + 1, dtype=complex)
+    dchi_du = chi.deriv(0)
+    chi = chi.truncate(order)
+    denom = chi - (_u_jet(u, order) * 2.0) * dchi_du
+    return ((chi * chi * _recip_jet(denom) - chi) * _recip_jet(_u_jet(u, order))).c
+
+
+PROFILE_REFS = {sf.BumpElem: _bump_ref, sf.BumpSqElem: _bump_sq_ref,
+                sf.BallRampElem: _ball_ramp_ref}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PROFILE_REFS, key=lambda c: c.__name__)),
+       st.floats(0.5, 2.0), st.floats(0.1, 1.0), st.integers(0, 5),
+       st.one_of(st.floats(0.0, 1.0),
+                 st.tuples(st.booleans(), st.integers(-8, 8))),
+       st.booleans())
+def test_profile_recurrences_match_the_jet_path(cls, r, eps, order, where, negative):
+    # `where` is a fraction of the annulus r^2 < u < (r + eps)^2, or a glue
+    # point (inner or outer) moved by up to 8 of its ulps to either side.  The
+    # reference loses accuracy where it cancels: its rounding at order k,
+    # relative to max(1, |c_k|), grows about like 10^k, and m divides the
+    # absolute rounding of chi by chi.  Measured worst case of |new - ref| /
+    # (10^k max(1, |c_k|)), times chi for m: 1.5e-14 (m at order 2 next to u =
+    # r^2, r = 0.5, eps = 0.1), over 700,000 draws of r, eps, u and the order.
+    e = cls(r, eps)
+    lo, hi = r * r, (r + eps) ** 2
+    if isinstance(where, float):
+        u = lo + where * (hi - lo)
+    else:
+        edge = hi if where[0] else lo
+        u = edge + where[1] * np.spacing(edge)
+    arg = u if cls is not sf.BumpElem else -math.sqrt(u) if negative else math.sqrt(u)
+    got, ref = e.taylor(arg, order), PROFILE_REFS[cls](e, arg, order)
+    assert got.shape == ref.shape == (order + 1,) and got.dtype == complex
+    chi = min(1.0, sf.BumpSqElem(r, eps).taylor(u, 0)[0].real) if cls is sf.BallRampElem else 1.0
+    scale = 1e-13 * 10.0 ** np.arange(order + 1)
+    assert np.all(np.abs(got - ref) * chi <= scale * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_annulus_theta_walk_builds_no_one_variable_jet(order, monkeypatch):
+    # the profiles B and M take their coefficients from recurrences on plain
+    # lists: the walk composes only at the two `uni` nodes and every jet it
+    # builds is in the n = 4 fiber variables
+    theta = build_ball_compact_theta(4, standard_symplectic(4), 1.0, 0.25)
+    x = np.array([0.1, -0.2, 0.3, 0.0, 0.7, 0.6, 0.5, 0.3])  # |v| = 1.09
+    dims, composed = [], []
+    init, compose = Jet.__init__, sf.jet_compose_univariate
+
+    def counted_init(self, dim, *args):
+        dims.append(dim)
+        init(self, dim, *args)
+
+    def counted_compose(outer, inner):
+        composed.append(inner.dim)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(Jet, "__init__", counted_init)
+    monkeypatch.setattr(sf, "jet_compose_univariate", counted_compose)
+    theta_matrix(theta, x, order)
+    assert dims and set(dims) == {4}
+    assert composed == [4, 4]
 
 
 def test_eval_jet_wrong_dim_raises():

@@ -27,8 +27,9 @@ from vertstar.states import (
     minkowski_metric,
 )
 
-from conftest import (conjugate, expectation_root, gaussian_moments_expjet, jet_laplacian,
-                      random_poly, star_square_expect_closed_form, variance_closed_form)
+from conftest import (conjugate, exp_of, expectation_root, gaussian_moments_expjet,
+                      jet_laplacian, random_poly, star_square_expect_closed_form,
+                      variance_closed_form)
 
 STD4 = standard_symplectic(4)
 
@@ -492,7 +493,7 @@ def test_pairing_gives_the_weyl_exponentials(n, N):
     a, b = (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n) for _ in range(2))
     x = rng.uniform(-1, 1, n)
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    ea, eb = (sf.exp_of(sf.polynomial(dict(zip(units, c)), n)) for c in (a, b))
+    ea, eb = (exp_of(sf.polynomial(dict(zip(units, c)), n)) for c in (a, b))
     got = np.array(CoherentState(x, n, N, metric_inv=g).star_expect(
         moyal_constant(n, Theta, N), ea, eb).coeffs)
     w = 0.5j * a @ Theta @ b + (a + b) @ g @ (a + b) / 4
